@@ -19,7 +19,7 @@
 //! and opens a new one.
 
 use crate::ilr::FiniteIlrBuffer;
-use crate::trace::{IoCaps, TraceAccum, TraceRecord};
+use crate::trace::{IoCaps, TraceAccum, TraceBuf, TraceRecord, TraceView};
 use tlr_isa::DynInstr;
 
 /// A trace-collection policy.
@@ -61,10 +61,14 @@ impl Heuristic {
     }
 }
 
-/// Expansion in progress: a reused base trace waiting for its
-/// continuation to be collected.
+/// Expansion state: a reused base trace and the continuation collected
+/// after it. The buffers live as long as the collector and are updated in
+/// place, so starting, extending and finishing an expansion allocate
+/// nothing but the merged record once the buffers have grown.
 struct Expansion {
-    base: TraceRecord,
+    /// Whether an expansion is in progress.
+    active: bool,
+    base: TraceBuf,
     cont: TraceAccum,
     /// For `I(n) EXP`: stop after this many continuation instructions.
     /// `None` for ILR EXP (stop at the first non-reusable instruction).
@@ -84,13 +88,19 @@ pub struct CollectStats {
 
 /// The trace collector: converts the executed instruction stream plus
 /// reuse-hit notifications into [`TraceRecord`]s for the RTM.
+///
+/// It keeps its accumulators and expansion buffers for its whole life.
+/// Once they have grown to the largest trace seen, a call allocates only
+/// the records it returns (two boxes each) and the `Vec` holding them —
+/// apart, under the ILR heuristics, from the finite ILR buffer growing a
+/// PC group's entries.
 pub struct Collector {
     heuristic: Heuristic,
     caps: IoCaps,
     accum: TraceAccum,
     /// Finite ILR buffer (ILR NE / ILR EXP only).
     ilr: Option<FiniteIlrBuffer>,
-    expansion: Option<Expansion>,
+    expansion: Expansion,
     stats: CollectStats,
     /// Scratch for emitted records (returned by value each call).
     out: Vec<TraceRecord>,
@@ -111,7 +121,12 @@ impl Collector {
             caps,
             accum: TraceAccum::new(caps),
             ilr,
-            expansion: None,
+            expansion: Expansion {
+                active: false,
+                base: TraceBuf::default(),
+                cont: TraceAccum::new(caps),
+                remaining: None,
+            },
             stats: CollectStats::default(),
             out: Vec::new(),
         }
@@ -170,9 +185,7 @@ impl Collector {
         // store exact-length traces).
         match self.heuristic {
             Heuristic::IlrNe | Heuristic::IlrExp | Heuristic::BasicBlock => self.close_accum(false),
-            Heuristic::FixedExp(_) => {
-                let _ = self.accum.finalize();
-            }
+            Heuristic::FixedExp(_) => self.accum.clear(),
         }
         if !self.heuristic.expands() {
             return std::mem::take(&mut self.out);
@@ -181,78 +194,69 @@ impl Collector {
         // collected finishes that expansion first; a hit immediately
         // after a reused base (empty continuation) merges the two reused
         // traces ("two consecutive traces are reused").
-        match self.expansion.take() {
-            None => {
-                self.begin_expansion(hit.clone());
-            }
-            Some(exp) => {
-                if exp.cont.is_empty() {
-                    match exp.base.merge(hit, &self.caps) {
-                        Some(merged) => {
-                            self.stats.expansions += 1;
-                            self.out.push(merged.clone());
-                            // Chain: the merged trace becomes the new base.
-                            self.begin_expansion(merged);
-                        }
-                        None => {
-                            // Caps exceeded: restart expansion from the hit.
-                            self.begin_expansion(hit.clone());
-                        }
-                    }
-                } else {
-                    self.finish_expansion(exp);
-                    self.begin_expansion(hit.clone());
+        let exp = &self.expansion;
+        if exp.active && exp.cont.is_empty() {
+            match exp.base.view().merge(hit.view(), &self.caps) {
+                Some(merged) => {
+                    self.stats.expansions += 1;
+                    // Chain: the merged trace becomes the new base.
+                    self.begin_expansion(merged.view());
+                    self.out.push(merged);
                 }
+                // Caps exceeded: restart expansion from the hit.
+                None => self.begin_expansion(hit.view()),
             }
+        } else {
+            if exp.active {
+                self.finish_expansion();
+            }
+            self.begin_expansion(hit.view());
         }
         std::mem::take(&mut self.out)
     }
 
-    fn begin_expansion(&mut self, base: TraceRecord) {
-        let remaining = match self.heuristic {
+    fn begin_expansion(&mut self, base: TraceView<'_>) {
+        let exp = &mut self.expansion;
+        // Finishing an expansion clears its continuation, and a chain
+        // only begins from an empty one.
+        debug_assert!(exp.cont.is_empty());
+        exp.active = true;
+        exp.base.set(base);
+        exp.remaining = match self.heuristic {
             Heuristic::FixedExp(n) => Some(n),
             _ => None,
         };
-        self.expansion = Some(Expansion {
-            base,
-            cont: TraceAccum::new(self.caps),
-            remaining,
-        });
     }
 
     fn step_expansion(&mut self, d: &DynInstr, reusable: bool) {
-        let Some(mut exp) = self.expansion.take() else {
-            return;
-        };
-        // ILR EXP stops at the first non-reusable instruction.
-        if exp.remaining.is_none() && !reusable {
-            self.finish_expansion(exp);
+        let exp = &mut self.expansion;
+        if !exp.active {
             return;
         }
-        if !exp.cont.try_add(d) {
-            // Continuation no longer fits the caps: finish with what we
-            // have.
-            self.finish_expansion(exp);
+        // ILR EXP stops at the first non-reusable instruction; any
+        // expansion stops once its continuation no longer fits the caps.
+        if (exp.remaining.is_none() && !reusable) || !exp.cont.try_add(d) {
+            self.finish_expansion();
             return;
         }
         if let Some(rem) = exp.remaining.as_mut() {
             *rem -= 1;
             if *rem == 0 {
-                self.finish_expansion(exp);
-                return;
+                self.finish_expansion();
             }
         }
-        self.expansion = Some(exp);
     }
 
-    fn finish_expansion(&mut self, mut exp: Expansion) {
-        if let Some(cont) = exp.cont.finalize() {
-            if let Some(merged) = exp.base.merge(&cont, &self.caps) {
+    fn finish_expansion(&mut self) {
+        let exp = &mut self.expansion;
+        if let Some(cont) = exp.cont.view() {
+            if let Some(merged) = exp.base.view().merge(cont, &self.caps) {
                 self.stats.expansions += 1;
                 self.out.push(merged);
             }
         }
-        self.expansion = None;
+        exp.cont.clear();
+        exp.active = false;
     }
 
     fn push_to_accum(&mut self, d: &DynInstr) {

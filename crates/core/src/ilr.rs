@@ -184,15 +184,21 @@ impl<T> SetAssocStore<T> {
         let group = match set.iter_mut().position(|g| g.pc == pc) {
             Some(i) => &mut set[i],
             None => {
-                if set.len() == ways {
+                // A full set hands the evicted group's entry vector to
+                // the new group instead of freeing it.
+                let entries = if set.len() == ways {
                     let victim = group_victim(set).min(set.len() - 1);
-                    evicted += set[victim].entries.len() as u64;
-                    self.resident -= set[victim].entries.len() as u64;
-                    set.swap_remove(victim);
-                }
+                    let mut entries = set.swap_remove(victim).entries;
+                    evicted += entries.len() as u64;
+                    self.resident -= entries.len() as u64;
+                    entries.clear();
+                    entries
+                } else {
+                    Vec::with_capacity(per_pc.min(4))
+                };
                 set.push(PcGroup {
                     pc,
-                    entries: Vec::with_capacity(per_pc.min(4)),
+                    entries,
                     last_touch: 0,
                 });
                 let last = set.len() - 1;

@@ -7,11 +7,18 @@
 //! final values, plus the next PC. [`TraceAccum`] builds those sets
 //! incrementally as instructions execute; [`TraceRecord`] is the
 //! finished, immutable form stored in the RTM.
+//!
+//! Collection runs once per executed instruction, so neither the
+//! accumulator nor merging hashes a register or allocates scratch space:
+//! registers are tracked in 64-bit masks over [`Loc::reg_index`], buffers
+//! are reused, and in steady state the only allocations are the two boxes
+//! of each finished record.
 
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
-use tlr_isa::{ClassMix, DynInstr, Loc};
-use tlr_util::{FxHashMap, FxHashSet};
+use tlr_isa::{ClassMix, DynInstr, Loc, NUM_FREGS, NUM_IREGS};
+use tlr_util::FxHashMap;
 
 /// Per-trace input/output capacity limits.
 ///
@@ -151,38 +158,19 @@ impl TraceRecord {
     /// Returns `None` if the merged trace would exceed `caps`, or if the
     /// traces are not adjacent (`self.next_pc != next.start_pc`).
     pub fn merge(&self, next: &TraceRecord, caps: &IoCaps) -> Option<TraceRecord> {
-        if self.next_pc != next.start_pc {
-            return None;
-        }
-        let self_out_locs: FxHashSet<Loc> = self.outs.iter().map(|(l, _)| *l).collect();
-        let self_in_locs: FxHashSet<Loc> = self.ins.iter().map(|(l, _)| *l).collect();
-        let mut ins: Vec<(Loc, u64)> = self.ins.to_vec();
-        for (loc, val) in next.ins.iter() {
-            if !self_out_locs.contains(loc) && !self_in_locs.contains(loc) {
-                ins.push((*loc, *val));
-            }
-        }
-        let mut outs: Vec<(Loc, u64)> = self.outs.to_vec();
-        let mut out_index: FxHashMap<Loc, usize> =
-            outs.iter().enumerate().map(|(i, (l, _))| (*l, i)).collect();
-        for (loc, val) in next.outs.iter() {
-            match out_index.get(loc) {
-                Some(i) => outs[*i].1 = *val,
-                None => {
-                    out_index.insert(*loc, outs.len());
-                    outs.push((*loc, *val));
-                }
-            }
-        }
-        let record = TraceRecord {
+        self.view().merge(next.view(), caps)
+    }
+
+    /// The record's fields, borrowed.
+    pub(crate) fn view(&self) -> TraceView<'_> {
+        TraceView {
             start_pc: self.start_pc,
-            next_pc: next.next_pc,
-            len: self.len + next.len,
-            ins: ins.into_boxed_slice(),
-            outs: outs.into_boxed_slice(),
-            mix: self.mix.sum(next.mix),
-        };
-        record.within_caps(caps).then_some(record)
+            next_pc: self.next_pc,
+            len: self.len,
+            ins: &self.ins,
+            outs: &self.outs,
+            mix: self.mix,
+        }
     }
 
     /// Whether the record's live-in/live-out sets fit within `caps`.
@@ -196,26 +184,225 @@ impl TraceRecord {
     }
 }
 
+/// A trace's fields borrowed from wherever they live — a finished
+/// record, an accumulator's contents, a collector's expansion base — so
+/// a merge reads its operands in place.
+#[derive(Clone, Copy)]
+pub(crate) struct TraceView<'a> {
+    start_pc: u32,
+    next_pc: u32,
+    len: u32,
+    ins: &'a [(Loc, u64)],
+    outs: &'a [(Loc, u64)],
+    mix: ClassMix,
+}
+
+impl TraceView<'_> {
+    /// Copy into a record whose boxes have exactly the sides' lengths.
+    fn to_record(self) -> TraceRecord {
+        TraceRecord {
+            start_pc: self.start_pc,
+            next_pc: self.next_pc,
+            len: self.len,
+            ins: self.ins.into(),
+            outs: self.outs.into(),
+            mix: self.mix,
+        }
+    }
+
+    /// The body of [`TraceRecord::merge`]. Membership is answered by
+    /// register masks and by scanning memory entries, which the caps
+    /// bound. Both merged sides are counted before anything is allocated:
+    /// a refused merge allocates nothing, and an accepted one allocates
+    /// its two boxes at their final size.
+    pub(crate) fn merge(self, next: TraceView<'_>, caps: &IoCaps) -> Option<TraceRecord> {
+        if self.next_pc != next.start_pc {
+            return None;
+        }
+        let written = LocSet::of(self.outs);
+        let read = LocSet::of(self.ins);
+        // A live-in of `next` stays one unless `self` writes or reads it.
+        let new_in = |loc: Loc| !written.contains(loc) && !read.contains(loc);
+        // An output of `next` adds an entry unless `self`, or an earlier
+        // output of `next`, wrote the location.
+        let new_out = |j: usize| {
+            let loc = next.outs[j].0;
+            !written.contains(loc) && next.outs[..j].iter().all(|(l, _)| *l != loc)
+        };
+        let mut n_ins = SideCount::of(self.ins);
+        for (loc, _) in next.ins.iter().filter(|(loc, _)| new_in(*loc)) {
+            n_ins.add(*loc);
+        }
+        let mut n_outs = SideCount::of(self.outs);
+        for j in (0..next.outs.len()).filter(|&j| new_out(j)) {
+            n_outs.add(next.outs[j].0);
+        }
+        if n_ins.regs > caps.reg_in
+            || n_ins.mem > caps.mem_in
+            || n_outs.regs > caps.reg_out
+            || n_outs.mem > caps.mem_out
+        {
+            return None;
+        }
+        let mut ins = Vec::with_capacity(n_ins.total());
+        ins.extend_from_slice(self.ins);
+        ins.extend(next.ins.iter().filter(|(loc, _)| new_in(*loc)));
+        let mut outs = Vec::with_capacity(n_outs.total());
+        outs.extend_from_slice(self.outs);
+        for &(loc, val) in next.outs {
+            // The later write is the final value. Should a side name a
+            // location twice, the last entry is the one overridden.
+            match outs.iter().rposition(|(l, _)| *l == loc) {
+                Some(i) => outs[i].1 = val,
+                None => outs.push((loc, val)),
+            }
+        }
+        debug_assert_eq!((ins.len(), outs.len()), (n_ins.total(), n_outs.total()));
+        Some(TraceRecord {
+            start_pc: self.start_pc,
+            next_pc: next.next_pc,
+            len: self.len + next.len,
+            ins: ins.into_boxed_slice(),
+            outs: outs.into_boxed_slice(),
+            mix: self.mix.sum(next.mix),
+        })
+    }
+}
+
+/// Membership in one side of a trace: registers by a mask over
+/// [`Loc::reg_index`], memory words by scanning the side.
+#[derive(Clone, Copy)]
+struct LocSet<'a> {
+    regs: u64,
+    side: &'a [(Loc, u64)],
+}
+
+impl<'a> LocSet<'a> {
+    fn of(side: &'a [(Loc, u64)]) -> Self {
+        let regs = side
+            .iter()
+            .filter_map(|(loc, _)| loc.reg_index())
+            .fold(0, |mask, r| mask | (1 << r));
+        Self { regs, side }
+    }
+
+    fn contains(&self, loc: Loc) -> bool {
+        match loc.reg_index() {
+            Some(r) => self.regs & (1 << r) != 0,
+            None => self.side.iter().any(|(l, _)| *l == loc),
+        }
+    }
+}
+
+/// Register and memory entries on one side of a trace.
+#[derive(Clone, Copy, Default)]
+struct SideCount {
+    regs: usize,
+    mem: usize,
+}
+
+impl SideCount {
+    fn of(side: &[(Loc, u64)]) -> Self {
+        let mut count = Self::default();
+        for (loc, _) in side {
+            count.add(*loc);
+        }
+        count
+    }
+
+    fn add(&mut self, loc: Loc) {
+        if loc.is_mem() {
+            self.mem += 1;
+        } else {
+            self.regs += 1;
+        }
+    }
+
+    fn total(self) -> usize {
+        self.regs + self.mem
+    }
+}
+
+/// Register locations: the dense range of [`Loc::reg_index`].
+const REG_LOCS: usize = (NUM_IREGS + NUM_FREGS) as usize;
+
+/// An owned trace in buffers that outlive it: refilling one reuses its
+/// vectors, so once they have grown to the largest trace seen, a stream
+/// of traces passing through allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct TraceBuf {
+    start_pc: u32,
+    next_pc: u32,
+    len: u32,
+    ins: Vec<(Loc, u64)>,
+    outs: Vec<(Loc, u64)>,
+    mix: ClassMix,
+}
+
+impl TraceBuf {
+    /// Replace the contents with a copy of `t`.
+    pub(crate) fn set(&mut self, t: TraceView<'_>) {
+        self.start_pc = t.start_pc;
+        self.next_pc = t.next_pc;
+        self.len = t.len;
+        self.ins.clear();
+        self.ins.extend_from_slice(t.ins);
+        self.outs.clear();
+        self.outs.extend_from_slice(t.outs);
+        self.mix = t.mix;
+    }
+
+    /// The trace held.
+    pub(crate) fn view(&self) -> TraceView<'_> {
+        TraceView {
+            start_pc: self.start_pc,
+            next_pc: self.next_pc,
+            len: self.len,
+            ins: &self.ins,
+            outs: &self.outs,
+            mix: self.mix,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.ins.clear();
+        self.outs.clear();
+        self.mix = ClassMix::EMPTY;
+    }
+}
+
+/// Output slot of a memory word the trace has read but not written.
+const NOT_OUT: usize = usize::MAX;
+
 /// Incremental trace accumulator.
 ///
 /// Feed executed instructions with [`TraceAccum::try_add`]; it refuses
 /// (without mutating) any instruction that would push the live-in or
 /// live-out sets past the caps, letting the collector finalize the
 /// current trace and start a new one.
+///
+/// Registers are tracked in 64-bit masks over [`Loc::reg_index`] plus a
+/// per-register slot into the outputs, so they are never hashed; only
+/// memory words go through a hash map, which keeps every location O(1)
+/// under [`IoCaps::UNLIMITED`] as well. [`TraceAccum::finalize`] clears
+/// the buffers rather than giving them away, so once they have grown to
+/// the largest trace seen, the accumulator allocates only the records it
+/// returns.
 #[derive(Debug)]
 pub struct TraceAccum {
     caps: IoCaps,
-    start_pc: Option<u32>,
-    next_pc: u32,
-    len: u32,
-    ins: Vec<(Loc, u64)>,
-    outs: Vec<(Loc, u64)>,
-    mix: ClassMix,
-    in_locs: FxHashSet<Loc>,
-    out_index: FxHashMap<Loc, usize>,
-    reg_ins: usize,
+    trace: TraceBuf,
+    /// Register live-ins, one bit per [`Loc::reg_index`].
+    reg_in: u64,
+    /// Registers written, one bit per [`Loc::reg_index`].
+    reg_out: u64,
+    /// Index into the outputs of each register set in `reg_out`.
+    reg_slot: [usize; REG_LOCS],
+    /// Memory words read or written: the word's index into the outputs,
+    /// or [`NOT_OUT`] while it has only been read.
+    mem: FxHashMap<Loc, usize>,
     mem_ins: usize,
-    reg_outs: usize,
     mem_outs: usize,
 }
 
@@ -224,35 +411,33 @@ impl TraceAccum {
     pub fn new(caps: IoCaps) -> Self {
         Self {
             caps,
-            start_pc: None,
-            next_pc: 0,
-            len: 0,
-            ins: Vec::new(),
-            outs: Vec::new(),
-            mix: ClassMix::EMPTY,
-            in_locs: FxHashSet::default(),
-            out_index: FxHashMap::default(),
-            reg_ins: 0,
+            trace: TraceBuf::default(),
+            reg_in: 0,
+            reg_out: 0,
+            reg_slot: [0; REG_LOCS],
+            mem: FxHashMap::default(),
             mem_ins: 0,
-            reg_outs: 0,
             mem_outs: 0,
         }
     }
 
     /// Number of instructions accumulated.
     pub fn len(&self) -> u32 {
-        self.len
+        self.trace.len
     }
 
     /// `true` when no instructions have been accumulated.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.trace.len == 0
     }
 
     /// Try to append one executed instruction. Returns `false` — leaving
     /// the accumulator untouched — if the addition would exceed the I/O
     /// caps. Instructions must be fed in execution order; the first one
     /// fixes `start_pc`, the last one fixes `next_pc`.
+    ///
+    /// The cap check counts a location the instruction names twice (say
+    /// `addq r1, r2, r2`) twice, although the trace records it once.
     pub fn try_add(&mut self, d: &DynInstr) -> bool {
         // Count the *new* live-ins and live-outs this instruction adds.
         let mut new_reg_ins = 0usize;
@@ -260,99 +445,116 @@ impl TraceAccum {
         for (loc, _) in d.reads.iter() {
             // A location is a new live-in if the trace has neither
             // written it nor already recorded it as live-in.
-            if !self.out_index.contains_key(loc) && !self.in_locs.contains(loc) {
-                if loc.is_mem() {
-                    new_mem_ins += 1;
-                } else {
-                    new_reg_ins += 1;
-                }
+            match loc.reg_index() {
+                Some(r) => new_reg_ins += usize::from((self.reg_in | self.reg_out) & (1 << r) == 0),
+                None => new_mem_ins += usize::from(!self.mem.contains_key(loc)),
             }
         }
         let mut new_reg_outs = 0usize;
         let mut new_mem_outs = 0usize;
         for (loc, _) in d.writes.iter() {
-            if !self.out_index.contains_key(loc) {
-                if loc.is_mem() {
-                    new_mem_outs += 1;
-                } else {
-                    new_reg_outs += 1;
+            match loc.reg_index() {
+                Some(r) => new_reg_outs += usize::from(self.reg_out & (1 << r) == 0),
+                None => {
+                    new_mem_outs += usize::from(self.mem.get(loc).is_none_or(|&s| s == NOT_OUT))
                 }
             }
         }
-        if self.reg_ins + new_reg_ins > self.caps.reg_in
+        if self.reg_in.count_ones() as usize + new_reg_ins > self.caps.reg_in
             || self.mem_ins + new_mem_ins > self.caps.mem_in
-            || self.reg_outs + new_reg_outs > self.caps.reg_out
+            || self.reg_out.count_ones() as usize + new_reg_outs > self.caps.reg_out
             || self.mem_outs + new_mem_outs > self.caps.mem_out
         {
             return false;
         }
         // Commit.
-        if self.start_pc.is_none() {
-            self.start_pc = Some(d.pc);
+        let t = &mut self.trace;
+        if t.len == 0 {
+            t.start_pc = d.pc;
         }
-        for (loc, val) in d.reads.iter() {
-            if !self.out_index.contains_key(loc) && self.in_locs.insert(*loc) {
-                self.ins.push((*loc, *val));
-                if loc.is_mem() {
-                    self.mem_ins += 1;
-                } else {
-                    self.reg_ins += 1;
+        for &(loc, val) in d.reads.iter() {
+            let new = match loc.reg_index() {
+                Some(r) => {
+                    let new = (self.reg_in | self.reg_out) & (1 << r) == 0;
+                    self.reg_in |= u64::from(new) << r;
+                    new
                 }
-            }
-        }
-        for (loc, val) in d.writes.iter() {
-            match self.out_index.get(loc) {
-                Some(i) => self.outs[*i].1 = *val,
-                None => {
-                    self.out_index.insert(*loc, self.outs.len());
-                    self.outs.push((*loc, *val));
-                    if loc.is_mem() {
-                        self.mem_outs += 1;
-                    } else {
-                        self.reg_outs += 1;
+                None => match self.mem.entry(loc) {
+                    Entry::Vacant(e) => {
+                        e.insert(NOT_OUT);
+                        self.mem_ins += 1;
+                        true
                     }
-                }
+                    Entry::Occupied(_) => false,
+                },
+            };
+            if new {
+                t.ins.push((loc, val));
             }
         }
-        self.next_pc = d.next_pc;
-        self.mix.record(d.class);
-        self.len += 1;
+        for &(loc, val) in d.writes.iter() {
+            let next = t.outs.len();
+            let slot = match loc.reg_index() {
+                Some(r) => {
+                    if self.reg_out & (1 << r) == 0 {
+                        self.reg_out |= 1 << r;
+                        self.reg_slot[r] = next;
+                    }
+                    self.reg_slot[r]
+                }
+                None => {
+                    let slot = self.mem.entry(loc).or_insert(NOT_OUT);
+                    if *slot == NOT_OUT {
+                        *slot = next;
+                        self.mem_outs += 1;
+                    }
+                    *slot
+                }
+            };
+            if slot == next {
+                t.outs.push((loc, val));
+            } else {
+                t.outs[slot].1 = val;
+            }
+        }
+        t.next_pc = d.next_pc;
+        t.mix.record(d.class);
+        t.len += 1;
         true
     }
 
     /// Finish the trace, resetting the accumulator. Returns `None` when
     /// empty.
     pub fn finalize(&mut self) -> Option<TraceRecord> {
-        if self.len == 0 {
-            return None;
-        }
-        let record = TraceRecord {
-            start_pc: self.start_pc.take().unwrap(),
-            next_pc: self.next_pc,
-            len: self.len,
-            ins: std::mem::take(&mut self.ins).into_boxed_slice(),
-            outs: std::mem::take(&mut self.outs).into_boxed_slice(),
-            mix: std::mem::take(&mut self.mix),
-        };
-        self.len = 0;
-        self.in_locs.clear();
-        self.out_index.clear();
-        self.reg_ins = 0;
+        let record = self.view().map(TraceView::to_record);
+        self.clear();
+        record
+    }
+
+    /// The trace accumulated so far, `None` when empty.
+    pub(crate) fn view(&self) -> Option<TraceView<'_>> {
+        (!self.is_empty()).then(|| self.trace.view())
+    }
+
+    /// Drop the trace in progress, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.trace.clear();
+        self.reg_in = 0;
+        self.reg_out = 0;
+        self.mem.clear();
         self.mem_ins = 0;
-        self.reg_outs = 0;
         self.mem_outs = 0;
-        Some(record)
     }
 
     /// Live-in locations accumulated so far (first-read order).
     pub fn live_ins(&self) -> &[(Loc, u64)] {
-        &self.ins
+        &self.trace.ins
     }
 
     /// Output locations accumulated so far (first-write order, final
     /// values).
     pub fn live_outs(&self) -> &[(Loc, u64)] {
-        &self.outs
+        &self.trace.outs
     }
 }
 

@@ -13,6 +13,7 @@
 //! index lock and a shard lock are never held at the same time.
 
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -977,7 +978,7 @@ impl SnapshotRegistry {
         let tombstones = delta.tombstones.len() as u64;
         let tmp = path.with_extension("tmp");
         save_delta_segment(&tmp, fingerprint, &delta, options.compress)?;
-        std::fs::rename(&tmp, &path).map_err(PersistError::from)?;
+        self.commit_file(&tmp, &path)?;
         let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         {
             let mut index = self.index.write().unwrap();
@@ -1017,8 +1018,28 @@ impl SnapshotRegistry {
     ) -> Result<u64, ServeError> {
         let tmp = path.with_extension("tmp");
         save_snapshot_with(&tmp, fingerprint, snap, options)?;
-        std::fs::rename(&tmp, path).map_err(PersistError::from)?;
+        self.commit_file(&tmp, path)?;
         Ok(std::fs::metadata(path).map(|m| m.len()).unwrap_or(0))
+    }
+
+    /// Move a fully written temp file over `path` in the spill
+    /// directory so that after a crash `path` holds either what it held
+    /// before or the complete new file: the temp file's data reaches the
+    /// disk before the rename, and the directory entry after it.
+    fn commit_file(&self, tmp: &Path, path: &Path) -> Result<(), ServeError> {
+        OpenOptions::new()
+            .write(true)
+            .open(tmp)
+            .and_then(|f| f.sync_all())
+            .and_then(|()| std::fs::rename(tmp, path))
+            .and_then(|()| self.sync_dir())
+            .map_err(|e| PersistError::from(e).into())
+    }
+
+    /// Sync the spill directory, making renames and deletions in it
+    /// durable.
+    fn sync_dir(&self) -> std::io::Result<()> {
+        File::open(&self.dir)?.sync_all()
     }
 
     /// Fold the resident state into a fresh base file and delete every
@@ -1052,6 +1073,9 @@ impl SnapshotRegistry {
                 removed += 1;
             }
         }
+        // A deleted delta that came back after a crash would replay its
+        // stale groups over the new base.
+        self.sync_dir().map_err(PersistError::from)?;
         self.set_spill_state(
             fingerprint,
             SpillState {

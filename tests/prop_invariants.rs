@@ -1,9 +1,12 @@
 //! Cross-crate property tests: invariants the whole system must satisfy
 //! regardless of workload or configuration.
 
+use std::collections::{HashMap, HashSet};
+
 use proptest::prelude::*;
-use tlr_core::{InstrReuseTable, IoCaps, LimitConfig, LimitStudySink, TraceAccum};
-use tlr_isa::{Alpha21164, StreamSink, UnitLatency};
+use proptest::test_runner::TestCaseError;
+use tlr_core::{InstrReuseTable, IoCaps, LimitConfig, LimitStudySink, TraceAccum, TraceRecord};
+use tlr_isa::{Alpha21164, ClassMix, DynInstr, Loc, OpClass, StreamSink, UnitLatency};
 use tlr_timing::{analyze_base, TimingSim, Window};
 use tlr_workloads::synthetic::{generate, SyntheticConfig};
 
@@ -166,5 +169,340 @@ fn sink_reusability_matches_direct_count() {
         let res = study.result();
         let expect = 100.0 * reusable as f64 / sink.records.len() as f64;
         assert!((res.reusability_pct - expect).abs() < 1e-9, "{name}");
+    }
+}
+
+/// The set/map trace accumulator that [`TraceAccum`] replaced, kept as
+/// the reference model: a hash set of live-in locations and a map from
+/// written location to output slot, registers and memory alike.
+struct SetMapAccum {
+    caps: IoCaps,
+    start_pc: Option<u32>,
+    next_pc: u32,
+    len: u32,
+    ins: Vec<(Loc, u64)>,
+    outs: Vec<(Loc, u64)>,
+    mix: ClassMix,
+    in_locs: HashSet<Loc>,
+    out_index: HashMap<Loc, usize>,
+    reg_ins: usize,
+    mem_ins: usize,
+    reg_outs: usize,
+    mem_outs: usize,
+}
+
+impl SetMapAccum {
+    fn new(caps: IoCaps) -> Self {
+        Self {
+            caps,
+            start_pc: None,
+            next_pc: 0,
+            len: 0,
+            ins: Vec::new(),
+            outs: Vec::new(),
+            mix: ClassMix::EMPTY,
+            in_locs: HashSet::new(),
+            out_index: HashMap::new(),
+            reg_ins: 0,
+            mem_ins: 0,
+            reg_outs: 0,
+            mem_outs: 0,
+        }
+    }
+
+    /// Counts a location the instruction names twice twice in the cap
+    /// check, and records it once.
+    fn try_add(&mut self, d: &DynInstr) -> bool {
+        let (mut new_reg_ins, mut new_mem_ins) = (0, 0);
+        for (loc, _) in d.reads.iter() {
+            if !self.out_index.contains_key(loc) && !self.in_locs.contains(loc) {
+                if loc.is_mem() {
+                    new_mem_ins += 1;
+                } else {
+                    new_reg_ins += 1;
+                }
+            }
+        }
+        let (mut new_reg_outs, mut new_mem_outs) = (0, 0);
+        for (loc, _) in d.writes.iter() {
+            if !self.out_index.contains_key(loc) {
+                if loc.is_mem() {
+                    new_mem_outs += 1;
+                } else {
+                    new_reg_outs += 1;
+                }
+            }
+        }
+        if self.reg_ins + new_reg_ins > self.caps.reg_in
+            || self.mem_ins + new_mem_ins > self.caps.mem_in
+            || self.reg_outs + new_reg_outs > self.caps.reg_out
+            || self.mem_outs + new_mem_outs > self.caps.mem_out
+        {
+            return false;
+        }
+        self.start_pc.get_or_insert(d.pc);
+        for (loc, val) in d.reads.iter() {
+            if !self.out_index.contains_key(loc) && self.in_locs.insert(*loc) {
+                self.ins.push((*loc, *val));
+                if loc.is_mem() {
+                    self.mem_ins += 1;
+                } else {
+                    self.reg_ins += 1;
+                }
+            }
+        }
+        for (loc, val) in d.writes.iter() {
+            match self.out_index.get(loc) {
+                Some(i) => self.outs[*i].1 = *val,
+                None => {
+                    self.out_index.insert(*loc, self.outs.len());
+                    self.outs.push((*loc, *val));
+                    if loc.is_mem() {
+                        self.mem_outs += 1;
+                    } else {
+                        self.reg_outs += 1;
+                    }
+                }
+            }
+        }
+        self.next_pc = d.next_pc;
+        self.mix.record(d.class);
+        self.len += 1;
+        true
+    }
+
+    fn finalize(&mut self) -> Option<TraceRecord> {
+        let start_pc = self.start_pc?;
+        let done = std::mem::replace(self, Self::new(self.caps));
+        Some(TraceRecord {
+            start_pc,
+            next_pc: done.next_pc,
+            len: done.len,
+            ins: done.ins.into_boxed_slice(),
+            outs: done.outs.into_boxed_slice(),
+            mix: done.mix,
+        })
+    }
+}
+
+/// The set/map merge that [`TraceRecord::merge`] replaced.
+fn set_map_merge(a: &TraceRecord, b: &TraceRecord, caps: &IoCaps) -> Option<TraceRecord> {
+    if a.next_pc != b.start_pc {
+        return None;
+    }
+    let a_outs: HashSet<Loc> = a.outs.iter().map(|(l, _)| *l).collect();
+    let a_ins: HashSet<Loc> = a.ins.iter().map(|(l, _)| *l).collect();
+    let mut ins = a.ins.to_vec();
+    for (loc, val) in b.ins.iter() {
+        if !a_outs.contains(loc) && !a_ins.contains(loc) {
+            ins.push((*loc, *val));
+        }
+    }
+    let mut outs = a.outs.to_vec();
+    let mut out_index: HashMap<Loc, usize> =
+        outs.iter().enumerate().map(|(i, (l, _))| (*l, i)).collect();
+    for (loc, val) in b.outs.iter() {
+        match out_index.get(loc) {
+            Some(i) => outs[*i].1 = *val,
+            None => {
+                out_index.insert(*loc, outs.len());
+                outs.push((*loc, *val));
+            }
+        }
+    }
+    let record = TraceRecord {
+        start_pc: a.start_pc,
+        next_pc: b.next_pc,
+        len: a.len + b.len,
+        ins: ins.into_boxed_slice(),
+        outs: outs.into_boxed_slice(),
+        mix: a.mix.sum(b.mix),
+    };
+    record.within_caps(caps).then_some(record)
+}
+
+/// The caps the equivalence properties run under: the paper's, a tight
+/// one that refuses often, and none.
+const EQUIVALENCE_CAPS: [IoCaps; 3] = [
+    IoCaps::PAPER,
+    IoCaps {
+        reg_in: 3,
+        mem_in: 1,
+        reg_out: 2,
+        mem_out: 1,
+    },
+    IoCaps::UNLIMITED,
+];
+
+/// A location from a small pool of integer registers, FP registers and
+/// memory words, so that instructions and traces share locations often.
+fn pooled_loc() -> impl Strategy<Value = Loc> {
+    prop_oneof![
+        (0u8..6).prop_map(Loc::IntReg),
+        (0u8..6).prop_map(Loc::FpReg),
+        (0u64..6).prop_map(Loc::Mem),
+    ]
+}
+
+/// A stream of executed instructions at consecutive PCs, each paired
+/// with a flag that asks the check to close the trace after it. Some
+/// instructions read their first location twice (`addq r1, r2, r2`).
+fn synthetic_stream() -> impl Strategy<Value = Vec<(DynInstr, bool)>> {
+    let instr = (
+        proptest::collection::vec((pooled_loc(), 0u64..1000), 0..=3),
+        any::<bool>(),
+        proptest::collection::vec((pooled_loc(), 0u64..1000), 0..=2),
+        0..OpClass::COUNT,
+        0u8..8,
+    );
+    proptest::collection::vec(instr, 1..96).prop_map(|specs| {
+        specs
+            .into_iter()
+            .enumerate()
+            .map(|(pc, (mut reads, double, writes, class, cut))| {
+                if double && !reads.is_empty() {
+                    reads.push(reads[0]);
+                }
+                let d = DynInstr {
+                    pc: pc as u32,
+                    next_pc: pc as u32 + 1,
+                    class: OpClass::ALL[class],
+                    reads: reads.into_iter().collect(),
+                    writes: writes.into_iter().collect(),
+                };
+                (d, cut == 0)
+            })
+            .collect()
+    })
+}
+
+/// An arbitrary record side: locations may repeat, which collection
+/// never produces but a decoded snapshot can.
+fn arbitrary_side() -> impl Strategy<Value = Vec<(Loc, u64)>> {
+    proptest::collection::vec((pooled_loc(), 0u64..1000), 0..8)
+}
+
+/// Equal as records *and* in their class mixes (record equality ignores
+/// the mix).
+fn same_record(a: Option<TraceRecord>, b: Option<TraceRecord>) -> Result<(), TestCaseError> {
+    let a = a.map(|r| (r.mix, r));
+    let b = b.map(|r| (r.mix, r));
+    prop_assert_eq!(a, b);
+    Ok(())
+}
+
+/// Feed `stream` to a [`TraceAccum`] and the set/map model side by side,
+/// closing on refusal as the collector does and wherever the stream asks.
+fn check_accum_against_model(
+    stream: &[(DynInstr, bool)],
+    caps: IoCaps,
+) -> Result<(), TestCaseError> {
+    let mut accum = TraceAccum::new(caps);
+    let mut model = SetMapAccum::new(caps);
+    for (d, cut) in stream {
+        let before = (
+            accum.live_ins().to_vec(),
+            accum.live_outs().to_vec(),
+            accum.len(),
+        );
+        let added = accum.try_add(d);
+        prop_assert_eq!(
+            added,
+            model.try_add(d),
+            "try_add at pc {} under {:?}",
+            d.pc,
+            caps
+        );
+        if !added {
+            // A refusal leaves the accumulator untouched.
+            let after = (
+                accum.live_ins().to_vec(),
+                accum.live_outs().to_vec(),
+                accum.len(),
+            );
+            prop_assert_eq!(after, before);
+            same_record(accum.finalize(), model.finalize())?;
+            prop_assert_eq!(accum.try_add(d), model.try_add(d));
+        }
+        prop_assert_eq!(accum.live_ins(), model.ins.as_slice());
+        prop_assert_eq!(accum.live_outs(), model.outs.as_slice());
+        prop_assert_eq!(accum.len(), model.len);
+        if *cut {
+            same_record(accum.finalize(), model.finalize())?;
+        }
+    }
+    same_record(accum.finalize(), model.finalize())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `TraceAccum` agrees with the set/map model instruction for
+    /// instruction and record for record, refusals included.
+    #[test]
+    fn accum_matches_set_map_model(stream in synthetic_stream()) {
+        for caps in EQUIVALENCE_CAPS {
+            check_accum_against_model(&stream, caps)?;
+        }
+    }
+
+    /// `TraceRecord::merge` agrees with the set/map merge on adjacent
+    /// collected traces, pairwise and chained the way expansion chains
+    /// consecutive hits.
+    #[test]
+    fn merge_matches_set_map_model_on_collected_traces(stream in synthetic_stream()) {
+        let mut model = SetMapAccum::new(IoCaps::UNLIMITED);
+        let mut pieces = Vec::new();
+        for (d, cut) in &stream {
+            model.try_add(d);
+            if *cut {
+                pieces.extend(model.finalize());
+            }
+        }
+        pieces.extend(model.finalize());
+        for caps in EQUIVALENCE_CAPS {
+            for pair in pieces.windows(2) {
+                same_record(pair[0].merge(&pair[1], &caps), set_map_merge(&pair[0], &pair[1], &caps))?;
+                // Not adjacent in this order.
+                same_record(pair[1].merge(&pair[0], &caps), set_map_merge(&pair[1], &pair[0], &caps))?;
+            }
+            let mut chain = pieces[0].clone();
+            for next in &pieces[1..] {
+                let merged = chain.merge(next, &caps);
+                same_record(merged.clone(), set_map_merge(&chain, next, &caps))?;
+                chain = merged.unwrap_or_else(|| next.clone());
+            }
+        }
+    }
+
+    /// `TraceRecord::merge` agrees with the set/map merge on arbitrary
+    /// adjacent records, including sides that name a location twice.
+    #[test]
+    fn merge_matches_set_map_model_on_arbitrary_records(
+        a_ins in arbitrary_side(),
+        a_outs in arbitrary_side(),
+        b_ins in arbitrary_side(),
+        b_outs in arbitrary_side(),
+        lens in (1u32..6, 1u32..6),
+    ) {
+        let a = TraceRecord {
+            start_pc: 0,
+            next_pc: 10,
+            len: lens.0,
+            ins: a_ins.into_boxed_slice(),
+            outs: a_outs.into_boxed_slice(),
+            mix: ClassMix::EMPTY,
+        };
+        let b = TraceRecord {
+            start_pc: 10,
+            next_pc: 20,
+            len: lens.1,
+            ins: b_ins.into_boxed_slice(),
+            outs: b_outs.into_boxed_slice(),
+            mix: ClassMix::EMPTY,
+        };
+        for caps in EQUIVALENCE_CAPS {
+            same_record(a.merge(&b, &caps), set_map_merge(&a, &b, &caps))?;
+        }
     }
 }
