@@ -18,15 +18,12 @@
 //!   --charts      also print ASCII bar charts
 //!   --check       exit nonzero on a regression (warmstart, fleet, policy,
 //!                 daemon, decant, throughput, serveperf, crossseed)
-//!   --processes   fleet: also run the legacy per-task worker-pool path
-//!                 next to the default in-process batched path and report
-//!                 both tables
 //! ```
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use tlr_bench::figures;
-use tlr_bench::{run_engine_grid, run_limit_studies, BenchResult, FleetExecution, HarnessConfig};
+use tlr_bench::{run_engine_grid, run_limit_studies, BenchResult, HarnessConfig};
 use tlr_core::{Heuristic, RtmConfig};
 use tlr_persist::json::{self, Json};
 use tlr_stats::Table;
@@ -38,7 +35,6 @@ struct Options {
     json_out: Option<PathBuf>,
     charts: bool,
     check: bool,
-    processes: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -48,7 +44,6 @@ fn parse_args() -> Result<Options, String> {
     let mut json_out = None;
     let mut charts = false;
     let mut check = false;
-    let mut processes = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -64,7 +59,6 @@ fn parse_args() -> Result<Options, String> {
             "--json" => json_out = Some(PathBuf::from(value("--json")?)),
             "--charts" => charts = true,
             "--check" => check = true,
-            "--processes" => processes = true,
             "--help" | "-h" => {
                 println!("{}", HELP);
                 std::process::exit(0);
@@ -83,11 +77,10 @@ fn parse_args() -> Result<Options, String> {
         json_out,
         charts,
         check,
-        processes,
     })
 }
 
-const HELP: &str = "reproduce [--budget N] [--seed N] [--window N] [--threads N] [--out DIR] [--json OUT] [--charts] [--check] [--processes] \
+const HELP: &str = "reproduce [--budget N] [--seed N] [--window N] [--threads N] [--out DIR] [--json OUT] [--charts] [--check] \
                     [fig3|fig4|fig5|fig6|fig7|fig8|io|fig9|ablation|pipeline|validbit|schemes|warmstart|fleet|policy|daemon|decant|throughput|serveperf|crossseed|all ...]";
 
 /// JSON schema tag of the `--json` results document.
@@ -388,26 +381,6 @@ fn main() {
                 std::process::exit(1);
             }
             println!("fleet check: ok");
-        }
-        if opts.processes {
-            let start = std::time::Instant::now();
-            let pooled =
-                tlr_bench::run_fleet_with(&opts.cfg, RtmConfig::RTM_32K, FleetExecution::Pooled);
-            eprintln!("[fleet (pooled): {:?}]", start.elapsed());
-            emit(
-                &opts.out_dir,
-                doc,
-                "fleet_pooled",
-                "Fleet pooling (ours): legacy per-task worker-pool path, % of instructions reused",
-                &tlr_bench::fleet_table(&pooled),
-            );
-            if opts.check {
-                if let Err(msg) = tlr_bench::check_fleet(&pooled) {
-                    eprintln!("error: fleet (pooled) regression: {msg}");
-                    std::process::exit(1);
-                }
-                println!("fleet (pooled) check: ok");
-            }
         }
     }
 

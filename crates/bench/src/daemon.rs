@@ -354,11 +354,24 @@ pub fn daemon_table(outcome: &DaemonOutcome) -> Table {
     table
 }
 
+/// Registry fetches one client's warm start counts on the daemon: a
+/// thread client sends `Get`, one fetch; a process client runs `tlrsim
+/// run --remote`, whose `GetShape` counts the `get` inside
+/// `get_by_shape` and then the `get_image` that serves the bytes.
+fn fetches_per_client(via: &str) -> u64 {
+    match via {
+        "process" => 2,
+        _ => 1,
+    }
+}
+
 /// Regression gate for CI: the socket hop must change nothing. Every
 /// client digest equals the in-process digest, every client actually
 /// warm-started, at least two clients ran concurrently against the
 /// daemon, and the daemon-side counters account for exactly the client
-/// activity (one fetch and one publish-back per client, no unknowns).
+/// activity (one registry fetch per `Get` client and two per
+/// `GetShape` process client, one publish-back per client, no
+/// unknowns).
 pub fn check_daemon(outcome: &DaemonOutcome) -> Result<(), String> {
     if outcome.clients < 2 {
         return Err(format!(
@@ -382,9 +395,14 @@ pub fn check_daemon(outcome: &DaemonOutcome) -> Result<(), String> {
     }
     let stats = &outcome.stats;
     let fetches = stats.hits + stats.misses;
-    if fetches != outcome.clients as u64 {
+    let expected: u64 = outcome
+        .cells
+        .iter()
+        .map(|c| fetches_per_client(c.via))
+        .sum();
+    if fetches != expected {
         return Err(format!(
-            "daemon answered {fetches} fetches for {} clients",
+            "daemon answered {fetches} fetches for {} clients, expected {expected}",
             outcome.clients
         ));
     }
@@ -420,5 +438,40 @@ mod tests {
         check_daemon(&outcome).unwrap();
         let table = daemon_table(&outcome);
         assert_eq!(table.len(), outcome.cells.len() + 1);
+    }
+
+    #[test]
+    fn fetch_gate_counts_two_per_process_client() {
+        let outcome = |via: &'static str, fetches: u64| {
+            let cells = (0..3)
+                .map(|_| DaemonCell {
+                    name: "w",
+                    via,
+                    served_traces: 1,
+                    warm_pct: 50.0,
+                    in_process_pct: 50.0,
+                    client_digest: 7,
+                    in_process_digest: 7,
+                })
+                .collect::<Vec<_>>();
+            DaemonOutcome {
+                clients: cells.len(),
+                cells,
+                stats: RegistryStats {
+                    hits: fetches,
+                    refreshes: 3,
+                    ..RegistryStats::default()
+                },
+            }
+        };
+        check_daemon(&outcome("process", 6)).unwrap();
+        check_daemon(&outcome("thread", 3)).unwrap();
+        for (via, fetches) in [("process", 3), ("process", 7), ("thread", 6)] {
+            let err = check_daemon(&outcome(via, fetches)).unwrap_err();
+            assert!(
+                err.contains("fetches for 3 clients"),
+                "{via}/{fetches}: {err}"
+            );
+        }
     }
 }

@@ -24,17 +24,15 @@
 //! codec in memory, so the comparison also exercises snapshot
 //! validation on real merged state.
 //!
-//! Two execution shapes produce the same cells: the default
-//! [`FleetExecution::Batched`] drives every fleet member as a
-//! [`BatchRunner`] instance in this process (two batch phases: all cold
-//! producers, then — after merging — all warm consumers), while
-//! [`FleetExecution::Pooled`] keeps the legacy shape of one reference
-//! engine per worker-pool task. Reuse decisions are substrate-
-//! independent, so both shapes must report identical statistics.
+//! Every fleet member runs as a [`BatchRunner`] instance in this
+//! process, in two batch phases: all cold producers, then — after
+//! merging — all warm consumers.
 
 use crate::batch::{BatchRunner, BatchSpec, Schedule};
-use crate::harness::{pool_run, HarnessConfig};
-use tlr_core::{EngineConfig, EngineStats, Heuristic, RtmConfig, RtmSnapshot, TraceReuseEngine};
+use crate::harness::HarnessConfig;
+use tlr_core::{
+    EngineConfig, EngineStats, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot, LFU_HALF_LIFE,
+};
 use tlr_persist::program_fingerprint;
 use tlr_persist::snapshot::{read_snapshot, write_snapshot};
 use tlr_stats::Table;
@@ -66,35 +64,6 @@ pub struct FleetCell {
     pub conflicts: u64,
 }
 
-/// How the fleet's member runs are executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FleetExecution {
-    /// All member runs batched in this process on the fast substrate
-    /// (the default): one [`BatchRunner`] for every cold producer, a
-    /// second for every warm consumer.
-    Batched(Schedule),
-    /// Legacy shape: one reference engine per worker-pool task, as the
-    /// per-process drivers did.
-    Pooled,
-}
-
-impl Default for FleetExecution {
-    fn default() -> Self {
-        FleetExecution::Batched(Schedule::RunToCompletion)
-    }
-}
-
-impl FleetExecution {
-    /// Stable label for tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            FleetExecution::Batched(Schedule::RunToCompletion) => "batched",
-            FleetExecution::Batched(Schedule::RoundRobin { .. }) => "batched/rr",
-            FleetExecution::Pooled => "pooled",
-        }
-    }
-}
-
 /// Merge two cold snapshots and round-trip the result through the
 /// `tlr-persist` binary codec, as the registry's disk path would.
 fn merge_and_roundtrip(
@@ -103,8 +72,9 @@ fn merge_and_roundtrip(
     snap_a: RtmSnapshot,
     snap_b: RtmSnapshot,
 ) -> (RtmSnapshot, usize, u64) {
-    let outcome = RtmSnapshot::merge_detailed(&[snap_a, snap_b])
-        .unwrap_or_else(|e| panic!("{name}: merge error: {e}"));
+    let outcome =
+        RtmSnapshot::merge_detailed(&[snap_a, snap_b], ReplacementPolicy::Lru, LFU_HALF_LIFE)
+            .unwrap_or_else(|e| panic!("{name}: merge error: {e}"));
     let fingerprint = program_fingerprint(prog);
     let mut bytes = Vec::new();
     write_snapshot(&mut bytes, fingerprint, &outcome.snapshot)
@@ -114,27 +84,15 @@ fn merge_and_roundtrip(
     (merged, outcome.input_traces, outcome.conflicts)
 }
 
-/// Run the fleet comparison over every workload with the default
-/// in-process batched execution.
+/// Run the fleet comparison over every workload, run to completion.
 pub fn run_fleet(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<FleetCell> {
-    run_fleet_with(cfg, rtm, FleetExecution::default())
+    run_fleet_with(cfg, rtm, Schedule::RunToCompletion)
 }
 
-/// Run the fleet comparison under an explicit execution shape.
-pub fn run_fleet_with(
-    cfg: &HarnessConfig,
-    rtm: RtmConfig,
-    execution: FleetExecution,
-) -> Vec<FleetCell> {
-    match execution {
-        FleetExecution::Batched(schedule) => run_fleet_batched(cfg, rtm, schedule),
-        FleetExecution::Pooled => run_fleet_pooled(cfg, rtm),
-    }
-}
-
-/// The batched shape: every cold producer in one [`BatchRunner`], every
-/// warm consumer in a second, with the merges in between.
-fn run_fleet_batched(cfg: &HarnessConfig, rtm: RtmConfig, schedule: Schedule) -> Vec<FleetCell> {
+/// Run the fleet comparison under an explicit batch schedule: every
+/// cold producer in one [`BatchRunner`], every warm consumer in a
+/// second, with the merges in between.
+pub fn run_fleet_with(cfg: &HarnessConfig, rtm: RtmConfig, schedule: Schedule) -> Vec<FleetCell> {
     let workloads = tlr_workloads::all();
 
     let mut cold = BatchRunner::new(schedule);
@@ -193,45 +151,6 @@ fn run_fleet_batched(cfg: &HarnessConfig, rtm: RtmConfig, schedule: Schedule) ->
             conflicts,
         })
         .collect()
-}
-
-/// The legacy shape: one reference engine per worker-pool task.
-fn run_fleet_pooled(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<FleetCell> {
-    let workloads = tlr_workloads::all();
-    let threads = cfg.effective_threads(workloads.len());
-    pool_run(threads, workloads, |w| {
-        let prog = w.program(cfg.seed);
-        let snap_of = |heuristic: Heuristic| -> RtmSnapshot {
-            let mut engine = TraceReuseEngine::new(&prog, EngineConfig::paper(rtm, heuristic));
-            engine
-                .run(cfg.budget)
-                .unwrap_or_else(|e| panic!("{}: cold engine error: {e}", w.name));
-            engine
-                .export_rtm()
-                .expect("value-comparison backend snapshots")
-        };
-        let snap_a = snap_of(FLEET_COLD_A);
-        let snap_b = snap_of(FLEET_COLD_B);
-
-        let (merged, input_traces, conflicts) =
-            merge_and_roundtrip(w.name, &prog, snap_a.clone(), snap_b.clone());
-
-        let warm_config = EngineConfig::paper(rtm, FLEET_WARM);
-        let warm_run = |snapshot: &RtmSnapshot| -> EngineStats {
-            TraceReuseEngine::new_warm(&prog, warm_config, snapshot)
-                .run(cfg.budget)
-                .unwrap_or_else(|e| panic!("{}: warm engine error: {e}", w.name))
-        };
-        FleetCell {
-            name: w.name,
-            warm_a: warm_run(&snap_a),
-            warm_b: warm_run(&snap_b),
-            warm_merged: warm_run(&merged),
-            merged_traces: merged.traces.len(),
-            input_traces,
-            conflicts,
-        }
-    })
 }
 
 /// Table: per benchmark, solo-warm A/B vs merged-warm `pct_reused()`
@@ -339,26 +258,5 @@ mod tests {
         }
         let table = fleet_table(&cells);
         assert_eq!(table.len(), cells.len() + 1);
-    }
-
-    #[test]
-    fn batched_and_pooled_fleets_report_identical_statistics() {
-        let cfg = HarnessConfig {
-            budget: 15_000,
-            ..HarnessConfig::quick()
-        };
-        let batched = run_fleet_with(&cfg, RtmConfig::RTM_32K, FleetExecution::default());
-        let pooled = run_fleet_with(&cfg, RtmConfig::RTM_32K, FleetExecution::Pooled);
-        assert_eq!(batched.len(), pooled.len());
-        for (b, p) in batched.iter().zip(&pooled) {
-            assert_eq!(b.name, p.name);
-            // Reuse decisions are substrate-independent: the fast
-            // batched members must mirror the reference engines exactly.
-            assert_eq!(b.warm_a, p.warm_a, "{}", b.name);
-            assert_eq!(b.warm_b, p.warm_b, "{}", b.name);
-            assert_eq!(b.warm_merged, p.warm_merged, "{}", b.name);
-            assert_eq!(b.merged_traces, p.merged_traces, "{}", b.name);
-            assert_eq!(b.conflicts, p.conflicts, "{}", b.name);
-        }
     }
 }

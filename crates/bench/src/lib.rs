@@ -73,7 +73,7 @@ pub use daemon::{
 pub use decant::{
     check_decant, decant_class_table, decant_loop_table, decant_table, run_decant, DecantCell,
 };
-pub use fleet::{check_fleet, fleet_table, run_fleet, run_fleet_with, FleetCell, FleetExecution};
+pub use fleet::{check_fleet, fleet_table, run_fleet, run_fleet_with, FleetCell};
 pub use harness::{run_engine_grid, run_limit_studies, BenchResult, EngineCell, HarnessConfig};
 pub use policy::{
     check_policy, measured_label, policy_table, run_policy_sweep, state_digest, PolicyCell,

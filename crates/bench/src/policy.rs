@@ -6,7 +6,7 @@
 //! This experiment answers it per workload at `RTM_32K`: for each of the
 //! three policies, a **cold** run (the policy governs live collection
 //! eviction) and a **merged-warm** run (two diverse cold producers'
-//! snapshots are pooled with [`RtmSnapshot::merge_with`] under the
+//! snapshots are pooled with [`RtmSnapshot::merge_detailed`] under the
 //! policy, then a warm run serves from the pool).
 //!
 //! A fourth configuration closes the tap → decant → policy loop: per
@@ -28,7 +28,7 @@ use crate::fleet::{FLEET_COLD_A, FLEET_COLD_B, FLEET_WARM};
 use crate::harness::{pool_run, HarnessConfig};
 use tlr_core::{
     ClassWeights, EngineConfig, EngineStats, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot,
-    TraceReuseEngine,
+    TraceReuseEngine, LFU_HALF_LIFE,
 };
 use tlr_isa::{Alpha21164, NullSink};
 use tlr_stats::Table;
@@ -140,9 +140,10 @@ pub fn run_policy_sweep(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<PolicyCell> 
                 .export_rtm()
                 .expect("value-comparison backend snapshots")
         };
-        let merged =
-            RtmSnapshot::merge_with(&[producer(FLEET_COLD_A), producer(FLEET_COLD_B)], policy)
-                .unwrap_or_else(|e| panic!("{} [{policy}]: merge error: {e}", w.name));
+        let inputs = [producer(FLEET_COLD_A), producer(FLEET_COLD_B)];
+        let merged = RtmSnapshot::merge_detailed(&inputs, policy, LFU_HALF_LIFE)
+            .unwrap_or_else(|e| panic!("{} [{policy}]: merge error: {e}", w.name))
+            .snapshot;
         let (merged_warm, warm_ok) = run(cold_config, Some(&merged));
 
         PolicyCell {

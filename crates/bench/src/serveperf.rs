@@ -34,7 +34,7 @@ use tlr_core::{
     EngineConfig, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot, TraceReuseEngine,
 };
 use tlr_persist::snapshot::write_snapshot;
-use tlr_persist::{load_merged_snapshots_tuned, program_fingerprint, save_snapshot};
+use tlr_persist::{load_merged_snapshots, program_fingerprint, save_snapshot};
 use tlr_serve::{RegistryConfig, SnapshotRegistry, SpillKind};
 use tlr_stats::Table;
 
@@ -326,14 +326,14 @@ pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
                 paths.sort();
                 paths
             };
-            let (_, split) = load_merged_snapshots_tuned(
+            let (_, split) = load_merged_snapshots(
                 &split_paths,
                 Some(fingerprint),
                 policy,
                 tlr_core::LFU_HALF_LIFE,
             )
             .unwrap_or_else(|e| panic!("{}: split load: {e}", w.name));
-            let (_, full) = load_merged_snapshots_tuned(
+            let (_, full) = load_merged_snapshots(
                 &[full_path],
                 Some(fingerprint),
                 policy,

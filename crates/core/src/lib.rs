@@ -15,13 +15,31 @@
 //! | [`rtm`] | §3.1, §4.6 | the Reuse Trace Memory: PC-indexed, set-associative |
 //! | [`policy`] | ours | pluggable RTM replacement policies + per-trace provenance |
 //! | [`collect`] | §3.2, §4.6 | dynamic trace collection heuristics: `ILR NE`, `ILR EXP`, `I(n) EXP` |
-//! | [`engine`] | §3.3, §4.6 | the execution-driven reuse engine behind Figure 9 |
+//! | [`engine`] | §3.3, §4.6 | the execution-driven reuse engine behind Figure 9, observed and fast |
 //! | [`block`] | ours | straight-line trace blocks: an RTM entry pre-validated and flattened for the fast path |
-//! | [`fast`] | ours | the throughput engine: reference semantics on the predecoded/block-served fast substrate |
 //! | [`valid_bit`] | §3.3 | the valid-bit + invalidation reuse test (the paper's "simpler" alternative) |
 //! | [`schemes`] | §2 | Sodani & Sohi's Sv / Sn instruction-reuse buffer schemes |
 //! | [`limits`] | §4.2–§4.5 | the infinite-history limit studies behind Figures 3–8 |
 //! | [`theorems`] | §4.4, appendix | executable Theorems 1–4 |
+//!
+//! ## The engine
+//!
+//! [`Engine`] is the reuse machine of §3.3: at every fetch it probes
+//! the RTM; a hit skips the trace, a miss executes one instruction and
+//! feeds the collector. It comes in two instantiations that take
+//! identical decisions:
+//!
+//! - [`TraceReuseEngine`] (`Engine<Box<dyn ReuseBackend>>`), the
+//!   reference engine: the value-comparison RTM or the valid-bit backend
+//!   as [`EngineConfig::reuse_test`] selects, stepping observed (a full
+//!   [`tlr_isa::DynInstr`] per executed instruction).
+//! - [`ThroughputEngine`] (`Engine<ReuseTraceMemory>`), the
+//!   value-comparison RTM without dynamic dispatch, in one of two
+//!   [`tlr_vm::ExecMode`]s: `Fast` (the default) serves hits through
+//!   cached [`TraceBlock`]s and, once
+//!   [`without_collection`](ThroughputEngine::without_collection)
+//!   detaches the collector, runs misses on the predecoded interpreter;
+//!   `Observed` takes the reference step.
 //!
 //! ## Quick start
 //!
@@ -62,7 +80,6 @@
 pub mod block;
 pub mod collect;
 pub mod engine;
-pub mod fast;
 pub mod ilr;
 pub mod limits;
 pub mod policy;
@@ -75,9 +92,9 @@ pub mod valid_bit;
 pub use block::TraceBlock;
 pub use collect::{CollectStats, Collector, Heuristic};
 pub use engine::{
-    run_engine, DecisionLog, EngineConfig, EngineStats, ReuseEvent, ReuseTest, TraceReuseEngine,
+    run_engine, DecisionLog, Engine, EngineConfig, EngineStats, ReuseEvent, ReuseTest,
+    ThroughputEngine, TraceReuseEngine,
 };
-pub use fast::ThroughputEngine;
 pub use ilr::{FiniteIlrBuffer, InstrReuseTable, SetAssocGeometry};
 pub use limits::{LatencyRule, LimitConfig, LimitResult, LimitStudySink, TraceIoStats};
 pub use policy::{ClassWeights, ReplacementPolicy, TraceMeta, LFU_HALF_LIFE};

@@ -196,6 +196,37 @@ pub trait ReuseBackend {
     }
 }
 
+/// The reference engine's boxed backend is itself a backend.
+impl ReuseBackend for Box<dyn ReuseBackend> {
+    fn lookup(&mut self, pc: u32, state: &dyn Fn(Loc) -> u64) -> Option<TraceRecord> {
+        (**self).lookup(pc, state)
+    }
+
+    fn insert(&mut self, rec: TraceRecord, state: &dyn Fn(Loc) -> u64) {
+        (**self).insert(rec, state)
+    }
+
+    fn on_write(&mut self, loc: Loc) {
+        (**self).on_write(loc)
+    }
+
+    fn set_source_run(&mut self, run: u64) {
+        (**self).set_source_run(run)
+    }
+
+    fn stats(&self) -> RtmStats {
+        (**self).stats()
+    }
+
+    fn resident(&self) -> u64 {
+        (**self).resident()
+    }
+
+    fn snapshot(&self) -> Option<RtmSnapshot> {
+        (**self).snapshot()
+    }
+}
+
 /// A portable snapshot of an RTM's resident traces.
 ///
 /// Produced by [`ReuseTraceMemory::export`] and consumed by
@@ -295,27 +326,19 @@ impl RtmSnapshot {
     /// group at most `per_pc`, so the pass only ever evicts
     /// non-unanimous state.
     pub fn merge(snapshots: &[RtmSnapshot]) -> Result<RtmSnapshot, MergeError> {
-        Ok(Self::merge_detailed(snapshots)?.snapshot)
+        let outcome = Self::merge_detailed(
+            snapshots,
+            ReplacementPolicy::Lru,
+            crate::policy::LFU_HALF_LIFE,
+        )?;
+        Ok(outcome.snapshot)
     }
 
     /// [`merge`](RtmSnapshot::merge) under an explicit replacement
-    /// policy (see [`merge_detailed_with`](RtmSnapshot::merge_detailed_with)).
-    pub fn merge_with(
-        snapshots: &[RtmSnapshot],
-        policy: ReplacementPolicy,
-    ) -> Result<RtmSnapshot, MergeError> {
-        Ok(Self::merge_detailed_with(snapshots, policy)?.snapshot)
-    }
-
-    /// [`merge`](RtmSnapshot::merge), also reporting what the union did:
-    /// input trace count, duplicates coalesced, conflicts resolved, and
-    /// entries lost to capacity.
-    pub fn merge_detailed(snapshots: &[RtmSnapshot]) -> Result<MergeOutcome, MergeError> {
-        Self::merge_detailed_with(snapshots, ReplacementPolicy::Lru)
-    }
-
-    /// [`merge_detailed`](RtmSnapshot::merge_detailed) under an explicit
-    /// replacement policy — the provenance-aware merge.
+    /// policy and LFU aging half-life (the `--lfu-half-life` knob; only
+    /// [`ReplacementPolicy::Lfu`] victim selection consults it), also
+    /// reporting what the union did: input trace count, duplicates
+    /// coalesced, conflicts resolved, and entries lost to capacity.
     ///
     /// The replay order is the same interleaved LRU→MRU round-robin for
     /// every policy; what changes is the *victim rule* under capacity
@@ -333,17 +356,7 @@ impl RtmSnapshot {
     /// counting argument of [`merge`](RtmSnapshot::merge) shows a
     /// non-unanimous victim always exists when that pass needs one, so
     /// the restriction never wedges.
-    pub fn merge_detailed_with(
-        snapshots: &[RtmSnapshot],
-        policy: ReplacementPolicy,
-    ) -> Result<MergeOutcome, MergeError> {
-        Self::merge_detailed_tuned(snapshots, policy, crate::policy::LFU_HALF_LIFE)
-    }
-
-    /// [`merge_detailed_with`](RtmSnapshot::merge_detailed_with) under a
-    /// caller-chosen LFU aging half-life (the `--lfu-half-life` knob;
-    /// only [`ReplacementPolicy::Lfu`] victim selection consults it).
-    pub fn merge_detailed_tuned(
+    pub fn merge_detailed(
         snapshots: &[RtmSnapshot],
         policy: ReplacementPolicy,
         lfu_half_life: u64,
@@ -657,39 +670,16 @@ impl ReuseTraceMemory {
     /// The state closure is the processor's register file / memory read
     /// port; `tlr_vm::Vm::peek_loc` is the canonical implementation.
     pub fn lookup(&mut self, pc: u32, state: impl Fn(Loc) -> u64) -> Option<TraceRecord> {
-        self.stats.lookups += 1;
-        self.tick += 1;
-        let tick = self.tick;
-        let entries = self.store.group_mut(pc)?;
-        // MRU-first: highest index is most recently used. Candidates
-        // scanned past are value rejections: right PC, wrong live-ins.
-        let mut found = None;
-        let mut rejected = 0u64;
-        for (idx, e) in entries.iter().enumerate().rev() {
-            if e.rec.ins.iter().all(|(loc, val)| state(*loc) == *val) {
-                found = Some(idx);
-                break;
-            }
-            rejected += 1;
-        }
-        self.stats.value_rejects += rejected;
-        match found {
-            Some(idx) => {
-                entries[idx].meta.hits = entries[idx].meta.hits.saturating_add(1);
-                entries[idx].meta.last_use = tick;
-                let rec = entries[idx].rec.clone();
-                self.store.touch(pc, idx);
-                self.stats.hits += 1;
-                Some(rec)
-            }
-            None => None,
-        }
+        let hit = self.probe(pc, |e| {
+            e.rec.ins.iter().all(|&(loc, val)| state(loc) == val)
+        })?;
+        Some(hit.rec.clone())
     }
 
     /// The fast-path reuse test: identical decision procedure and
     /// bookkeeping to [`ReuseTraceMemory::lookup`], but probing the VM's
     /// register files and memory directly through each candidate's cached
-    /// [`TraceBlock`] (built here on first use) and, on a hit, applying
+    /// [`TraceBlock`] (built here on first hit) and, on a hit, applying
     /// the trace's outputs straight to `vm` — no state closure, no
     /// per-location `Loc` dispatch, and no record clone unless
     /// `want_record` asks for one (a collector needs the record to drive
@@ -706,64 +696,76 @@ impl ReuseTraceMemory {
         vm: &mut Vm,
         want_record: bool,
     ) -> Result<Option<FastHit>, VmError> {
-        self.stats.lookups += 1;
-        self.tick += 1;
-        let tick = self.tick;
         let code_len = vm.code_len();
-        let Some(entries) = self.store.group_mut(pc) else {
+        let probe_vm = &*vm;
+        let hit = self.probe(pc, |e| match &e.block {
+            // A proven trace checks its flat per-class lists.
+            Some(b) => b.matches(probe_vm),
+            // No block yet (fresh insert or invalidated entry): probe
+            // the raw record without allocating. Under collection churn
+            // most entries are evicted before they ever match, so blocks
+            // are compiled only for traces that prove themselves with a
+            // hit.
+            None => e
+                .rec
+                .ins
+                .iter()
+                .all(|&(loc, val)| probe_vm.peek_loc(loc) == val),
+        });
+        let Some(RtmEntry { rec, block, .. }) = hit else {
             return Ok(None);
         };
-        // MRU-first: highest index is most recently used. Candidates
-        // scanned past are value rejections: right PC, wrong live-ins.
+        let block = block.get_or_insert_with(|| Box::new(TraceBlock::build(rec, code_len)));
+        if !block.pre_validated() {
+            return Err(VmError::BadJumpTarget {
+                pc: vm.pc(),
+                target: block.next_pc() as u64,
+            });
+        }
+        block.apply(vm);
+        Ok(Some(FastHit {
+            len: block.len(),
+            next_pc: block.next_pc(),
+            mix: block.mix(),
+            rec: want_record.then(|| rec.clone()),
+        }))
+    }
+
+    /// The MRU-first scan both reuse tests share: `matches` is the
+    /// per-entry live-in test. Counts the lookup and every candidate
+    /// scanned past (a value rejection: right PC, wrong live-ins); on a
+    /// hit, counts it, stamps the entry's provenance, refreshes it to
+    /// MRU and returns it.
+    fn probe(
+        &mut self,
+        pc: u32,
+        mut matches: impl FnMut(&RtmEntry) -> bool,
+    ) -> Option<&mut RtmEntry> {
+        self.stats.lookups += 1;
+        self.tick += 1;
+        let entries = self.store.group_mut(pc)?;
+        // Highest index is most recently used.
         let mut found = None;
         let mut rejected = 0u64;
-        for (idx, entry) in entries.iter_mut().enumerate().rev() {
-            let RtmEntry { rec, block, .. } = entry;
-            let matches = match block {
-                // A proven trace checks its flat per-class lists.
-                Some(b) => b.matches(vm),
-                // No block yet (fresh insert or invalidated entry):
-                // probe the raw record without allocating. Under
-                // collection churn most entries are evicted before they
-                // ever match, so blocks are compiled only for traces
-                // that prove themselves with a hit.
-                None => rec.ins.iter().all(|&(loc, val)| vm.peek_loc(loc) == val),
-            };
-            if matches {
-                block.get_or_insert_with(|| Box::new(TraceBlock::build(rec, code_len)));
+        for (idx, e) in entries.iter().enumerate().rev() {
+            if matches(e) {
                 found = Some(idx);
                 break;
             }
             rejected += 1;
         }
         self.stats.value_rejects += rejected;
-        match found {
-            Some(idx) => {
-                entries[idx].meta.hits = entries[idx].meta.hits.saturating_add(1);
-                entries[idx].meta.last_use = tick;
-                let block = entries[idx].block.as_deref().expect("block built above");
-                if !block.pre_validated() {
-                    let target = block.next_pc() as u64;
-                    self.store.touch(pc, idx);
-                    self.stats.hits += 1;
-                    return Err(VmError::BadJumpTarget {
-                        pc: vm.pc(),
-                        target,
-                    });
-                }
-                block.apply(vm);
-                let hit = FastHit {
-                    len: block.len(),
-                    next_pc: block.next_pc(),
-                    mix: block.mix(),
-                    rec: want_record.then(|| entries[idx].rec.clone()),
-                };
-                self.store.touch(pc, idx);
-                self.stats.hits += 1;
-                Ok(Some(hit))
-            }
-            None => Ok(None),
-        }
+        let idx = found?;
+        self.stats.hits += 1;
+        // Move the hit to the MRU end in place: `group_mut` has already
+        // stamped the group's recency, so this is the store's `touch`
+        // without finding the group a second time.
+        let hit = entries.remove(idx);
+        entries.push(hit);
+        let entry = entries.last_mut().expect("the hit was just pushed");
+        entry.meta.hits = entry.meta.hits.saturating_add(1);
+        entry.meta.last_use = self.tick;
+        Some(entry)
     }
 
     /// Store a collected trace. A trace **fully identical** to a resident
@@ -956,7 +958,10 @@ impl ReuseBackend for ReuseTraceMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::LFU_HALF_LIFE;
     use std::collections::HashMap;
+
+    const LRU: ReplacementPolicy = ReplacementPolicy::Lru;
 
     fn rec(start_pc: u32, ins: &[(Loc, u64)], outs: &[(Loc, u64)], next_pc: u32) -> TraceRecord {
         TraceRecord {
@@ -1111,7 +1116,8 @@ mod tests {
             b.insert(rec(10, &[(R1, v)], &[(R2, v)], 20));
         }
         b.insert(shared.clone());
-        let outcome = RtmSnapshot::merge_detailed(&[a.export(), b.export()]).unwrap();
+        let outcome =
+            RtmSnapshot::merge_detailed(&[a.export(), b.export()], LRU, LFU_HALF_LIFE).unwrap();
         assert_eq!(outcome.input_traces, 5);
         assert_eq!(outcome.duplicates, 1);
         assert_eq!(outcome.conflicts, 0);
@@ -1130,7 +1136,8 @@ mod tests {
         a.insert(rec(10, &[(R1, 5)], &[(R2, 6)], 12));
         let mut b = ReuseTraceMemory::new(RtmConfig::RTM_512);
         b.insert(rec(10, &[(R1, 5)], &[(R2, 77)], 12));
-        let outcome = RtmSnapshot::merge_detailed(&[a.export(), b.export()]).unwrap();
+        let outcome =
+            RtmSnapshot::merge_detailed(&[a.export(), b.export()], LRU, LFU_HALF_LIFE).unwrap();
         assert_eq!(outcome.conflicts, 1);
         assert_eq!(outcome.snapshot.len(), 1);
         assert_eq!(outcome.snapshot.traces[0].outs.as_ref(), &[(R2, 77)]);
@@ -1341,9 +1348,12 @@ mod tests {
             }
             rtm.export()
         };
-        let outcome =
-            RtmSnapshot::merge_detailed_with(&[hot_run(3), hot_run(2)], ReplacementPolicy::Lfu)
-                .unwrap();
+        let outcome = RtmSnapshot::merge_detailed(
+            &[hot_run(3), hot_run(2)],
+            ReplacementPolicy::Lfu,
+            LFU_HALF_LIFE,
+        )
+        .unwrap();
         assert_eq!(outcome.snapshot.len(), 1);
         assert_eq!(
             outcome.snapshot.total_hits(),
@@ -1378,7 +1388,10 @@ mod tests {
             }
         }
         for policy in ReplacementPolicy::ALL {
-            let merged = RtmSnapshot::merge_with(&[a.export(), b.export()], policy).unwrap();
+            let merged =
+                RtmSnapshot::merge_detailed(&[a.export(), b.export()], policy, LFU_HALF_LIFE)
+                    .unwrap()
+                    .snapshot;
             for t in &unanimous {
                 assert!(
                     merged.traces.contains(t),

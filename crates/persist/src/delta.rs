@@ -395,8 +395,8 @@ pub fn delta_from_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{load_merged_snapshots_with, load_snapshot, save_snapshot};
-    use tlr_core::ReplacementPolicy;
+    use crate::snapshot::{load_merged_snapshots, load_snapshot, save_snapshot};
+    use tlr_core::{ReplacementPolicy, LFU_HALF_LIFE};
     use tlr_isa::Loc;
 
     fn record(pc: u32, val: u64) -> TraceRecord {
@@ -519,7 +519,7 @@ mod tests {
         for policy in ReplacementPolicy::ALL {
             // Deltas listed out of order: the payload seq sorts them.
             let (fp, merged) =
-                load_merged_snapshots_with(&[&base, &p2, &p1], Some(7), policy).unwrap();
+                load_merged_snapshots(&[&base, &p2, &p1], Some(7), policy, LFU_HALF_LIFE).unwrap();
             assert_eq!(fp, 7);
             assert_eq!(canonical(&merged), canonical(&s2), "policy {policy:?}");
         }

@@ -97,9 +97,9 @@ pub use format::{
 };
 pub use replay::{replay, MemorySource, RecordSource, ReplayStats};
 pub use snapshot::{
-    load_merged_snapshots, load_merged_snapshots_tuned, load_merged_snapshots_with, load_snapshot,
-    load_snapshot_payload, peek_snapshot_fingerprint, peek_snapshot_identity, save_snapshot,
-    save_snapshot_with, SnapshotPayload, SnapshotWriteOptions,
+    commit_file, load_merged_snapshots, load_snapshot, load_snapshot_payload,
+    peek_snapshot_fingerprint, peek_snapshot_identity, save_snapshot, save_snapshot_with, sync_dir,
+    SnapshotPayload, SnapshotWriteOptions,
 };
 pub use stream::{load_trace, save_trace, TraceFile, TraceReader, TraceWriter};
 pub use wire::{program_fingerprint, program_shape_fingerprint};

@@ -31,7 +31,7 @@ use crate::json::{self, Json};
 use crate::stream::json_pairs;
 use crate::wire;
 use std::collections::BTreeMap;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -103,6 +103,23 @@ pub fn save_snapshot_with(
     }
 }
 
+/// Move the fully written `tmp` over `path` so that after a crash `path`
+/// holds either what it held before or the complete new file: the temp
+/// file's data reaches the disk before the rename, and the directory
+/// entry after it.
+pub fn commit_file(tmp: &Path, path: &Path) -> Result<()> {
+    OpenOptions::new().write(true).open(tmp)?.sync_all()?;
+    std::fs::rename(tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    sync_dir(dir.unwrap_or(Path::new(".")))
+}
+
+/// Sync directory `dir`, making renames and deletions in it durable.
+pub fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
 /// Load a snapshot from `path` (format by extension), optionally pinning
 /// the expected program fingerprint. Returns the file's fingerprint and
 /// the snapshot. Delta segments are rejected with a named error — load
@@ -162,35 +179,17 @@ pub fn load_snapshot_payload(
 }
 
 /// Load several snapshot files of the **same program** and merge them
-/// into one pooled snapshot ([`RtmSnapshot::merge`] semantics: shared
-/// geometry required, MRU priority follows file order, so list the
-/// freshest run last).
+/// into one pooled snapshot ([`RtmSnapshot::merge_detailed`] semantics
+/// under `policy` and `lfu_half_life`: shared geometry required, MRU
+/// priority follows file order, so list the freshest run last; the
+/// non-recency policies rank the pooled traces by their persisted
+/// provenance). Delta segments among the files are replayed over the
+/// merged full snapshots in sequence order.
 ///
 /// Every file's fingerprint must agree — with `expected_fingerprint`
 /// when given, otherwise with the first file's. Returns that fingerprint
 /// and the merged snapshot.
 pub fn load_merged_snapshots(
-    paths: &[impl AsRef<Path>],
-    expected_fingerprint: Option<u64>,
-) -> Result<(u64, RtmSnapshot)> {
-    load_merged_snapshots_with(paths, expected_fingerprint, ReplacementPolicy::Lru)
-}
-
-/// [`load_merged_snapshots`] merging under an explicit replacement
-/// policy ([`RtmSnapshot::merge_with`] semantics): the non-recency
-/// policies rank the pooled traces by their persisted provenance.
-pub fn load_merged_snapshots_with(
-    paths: &[impl AsRef<Path>],
-    expected_fingerprint: Option<u64>,
-    policy: ReplacementPolicy,
-) -> Result<(u64, RtmSnapshot)> {
-    load_merged_snapshots_tuned(paths, expected_fingerprint, policy, tlr_core::LFU_HALF_LIFE)
-}
-
-/// [`load_merged_snapshots_with`] under a caller-chosen LFU aging
-/// half-life ([`RtmSnapshot::merge_detailed_tuned`] semantics; only
-/// [`ReplacementPolicy::Lfu`] victim selection consults it).
-pub fn load_merged_snapshots_tuned(
     paths: &[impl AsRef<Path>],
     expected_fingerprint: Option<u64>,
     policy: ReplacementPolicy,
@@ -223,7 +222,7 @@ pub fn load_merged_snapshots_tuned(
             shape: 0,
         }
     } else {
-        RtmSnapshot::merge_detailed_tuned(&snapshots, policy, lfu_half_life)?.snapshot
+        RtmSnapshot::merge_detailed(&snapshots, policy, lfu_half_life)?.snapshot
     };
     if !deltas.is_empty() {
         // Replay deltas in sequence order (file order breaks ties), then
@@ -234,7 +233,7 @@ pub fn load_merged_snapshots_tuned(
             crate::delta::apply_delta(&mut merged, delta)?;
         }
         crate::delta::canonicalize(&mut merged);
-        merged = RtmSnapshot::merge_detailed_tuned(&[merged], policy, lfu_half_life)?.snapshot;
+        merged = RtmSnapshot::merge_detailed(&[merged], policy, lfu_half_life)?.snapshot;
     }
     Ok((fingerprint, merged))
 }
@@ -738,7 +737,10 @@ pub(crate) fn snapshot_from_json_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlr_core::LFU_HALF_LIFE;
     use tlr_isa::Loc;
+
+    const LRU: ReplacementPolicy = ReplacementPolicy::Lru;
 
     fn sample_snapshot() -> RtmSnapshot {
         let mut snapshot = RtmSnapshot::from_traces(
@@ -948,7 +950,7 @@ mod tests {
         save_snapshot(&a, 7, &sample_snapshot()).unwrap();
         save_snapshot(&b, 7, &snap_b).unwrap();
 
-        let (fp, merged) = load_merged_snapshots(&[&a, &b], Some(7)).unwrap();
+        let (fp, merged) = load_merged_snapshots(&[&a, &b], Some(7), LRU, LFU_HALF_LIFE).unwrap();
         assert_eq!(fp, 7);
         assert_eq!(merged.len(), 40);
 
@@ -956,7 +958,7 @@ mod tests {
         // caller did not pin a fingerprint: the first file pins it.
         save_snapshot(&b, 8, &snap_b).unwrap();
         assert!(matches!(
-            load_merged_snapshots(&[&a, &b], None),
+            load_merged_snapshots(&[&a, &b], None, LRU, LFU_HALF_LIFE),
             Err(PersistError::FingerprintMismatch {
                 found: 8,
                 expected: 7
@@ -964,7 +966,7 @@ mod tests {
         ));
         let empty: &[&Path] = &[];
         assert!(matches!(
-            load_merged_snapshots(empty, None),
+            load_merged_snapshots(empty, None, LRU, LFU_HALF_LIFE),
             Err(PersistError::Merge(tlr_core::MergeError::Empty))
         ));
     }

@@ -13,7 +13,6 @@
 //! index lock and a shard lock are never held at the same time.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -21,9 +20,10 @@ use std::time::SystemTime;
 use tlr_core::{ReplacementPolicy, ReuseTraceMemory, RtmSnapshot};
 use tlr_persist::snapshot::write_snapshot;
 use tlr_persist::{
-    base_file_name, delta_file_name, delta_seq_from_path, diff_snapshots, group_digests,
-    load_merged_snapshots_tuned, load_snapshot_payload, peek_snapshot_identity, save_delta_segment,
-    save_snapshot_with, PersistError, SnapshotPayload, SnapshotWriteOptions,
+    base_file_name, commit_file, delta_file_name, delta_seq_from_path, diff_snapshots,
+    group_digests, load_merged_snapshots, load_snapshot_payload, peek_snapshot_identity,
+    save_delta_segment, save_snapshot_with, sync_dir, PersistError, SnapshotPayload,
+    SnapshotWriteOptions,
 };
 use tlr_util::{FxHashMap, FxHashSet};
 
@@ -627,12 +627,10 @@ impl SnapshotRegistry {
     /// half-life — the one merge rule every path (load, refresh,
     /// publish) shares.
     fn pool(&self, snapshots: &[RtmSnapshot]) -> Result<RtmSnapshot, tlr_core::MergeError> {
-        Ok(RtmSnapshot::merge_detailed_tuned(
-            snapshots,
-            self.config.policy,
-            self.config.lfu_half_life,
-        )?
-        .snapshot)
+        Ok(
+            RtmSnapshot::merge_detailed(snapshots, self.config.policy, self.config.lfu_half_life)?
+                .snapshot,
+        )
     }
 
     /// Import a snapshot into a resident RTM tuned to the registry's
@@ -675,7 +673,7 @@ impl SnapshotRegistry {
         }
         // Miss: load and merge outside the lock, under the configured
         // policy.
-        let (_, merged) = load_merged_snapshots_tuned(
+        let (_, merged) = load_merged_snapshots(
             &paths,
             Some(fingerprint),
             self.config.policy,
@@ -978,7 +976,7 @@ impl SnapshotRegistry {
         let tombstones = delta.tombstones.len() as u64;
         let tmp = path.with_extension("tmp");
         save_delta_segment(&tmp, fingerprint, &delta, options.compress)?;
-        self.commit_file(&tmp, &path)?;
+        commit_file(&tmp, &path)?;
         let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         {
             let mut index = self.index.write().unwrap();
@@ -1018,28 +1016,8 @@ impl SnapshotRegistry {
     ) -> Result<u64, ServeError> {
         let tmp = path.with_extension("tmp");
         save_snapshot_with(&tmp, fingerprint, snap, options)?;
-        self.commit_file(&tmp, path)?;
+        commit_file(&tmp, path)?;
         Ok(std::fs::metadata(path).map(|m| m.len()).unwrap_or(0))
-    }
-
-    /// Move a fully written temp file over `path` in the spill
-    /// directory so that after a crash `path` holds either what it held
-    /// before or the complete new file: the temp file's data reaches the
-    /// disk before the rename, and the directory entry after it.
-    fn commit_file(&self, tmp: &Path, path: &Path) -> Result<(), ServeError> {
-        OpenOptions::new()
-            .write(true)
-            .open(tmp)
-            .and_then(|f| f.sync_all())
-            .and_then(|()| std::fs::rename(tmp, path))
-            .and_then(|()| self.sync_dir())
-            .map_err(|e| PersistError::from(e).into())
-    }
-
-    /// Sync the spill directory, making renames and deletions in it
-    /// durable.
-    fn sync_dir(&self) -> std::io::Result<()> {
-        File::open(&self.dir)?.sync_all()
     }
 
     /// Fold the resident state into a fresh base file and delete every
@@ -1075,7 +1053,7 @@ impl SnapshotRegistry {
         }
         // A deleted delta that came back after a crash would replay its
         // stale groups over the new base.
-        self.sync_dir().map_err(PersistError::from)?;
+        sync_dir(&self.dir)?;
         self.set_spill_state(
             fingerprint,
             SpillState {

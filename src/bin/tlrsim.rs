@@ -39,8 +39,9 @@
 //! `--warm-rtm` the engine starts from a saved RTM snapshot). `--fast`
 //! (equivalently `--mode fast`; `--mode observed` is the default) runs
 //! on the predecoded fast path — plain execution uses the flat-dispatch
-//! interpreter, reuse runs use the throughput engine with straight-line
-//! trace blocks — and every run prints its instructions/sec. `disasm`
+//! interpreter, reuse runs put the engine in its fast mode with
+//! straight-line trace blocks — and every run prints its
+//! instructions/sec. `disasm`
 //! prints the assembled listing, `analyze` runs the paper's full limit
 //! study, `decant` runs the reuse engine with its decision tap enabled
 //! and attributes every reuse decision by opcode class and loop
@@ -174,7 +175,7 @@ fn parse_policy(s: &str) -> ReplacementPolicy {
 struct Flags {
     budget: u64,
     window: usize,
-    fast: bool,
+    mode: ExecMode,
     reuse: bool,
     rtm: RtmConfig,
     heuristic: Heuristic,
@@ -199,7 +200,7 @@ fn parse_flags(args: &[String]) -> Flags {
     let mut flags = Flags {
         budget: 1_000_000,
         window: 256,
-        fast: false,
+        mode: ExecMode::Observed,
         reuse: false,
         rtm: RtmConfig::RTM_4K,
         heuristic: Heuristic::FixedExp(4),
@@ -240,13 +241,13 @@ fn parse_flags(args: &[String]) -> Flags {
                 i += 2;
             }
             "--fast" => {
-                flags.fast = true;
+                flags.mode = ExecMode::Fast;
                 i += 1;
             }
             "--mode" => {
-                flags.fast = match value(args, i, "--mode").to_ascii_lowercase().as_str() {
-                    "fast" => true,
-                    "observed" => false,
+                flags.mode = match value(args, i, "--mode").to_ascii_lowercase().as_str() {
+                    "fast" => ExecMode::Fast,
+                    "observed" => ExecMode::Observed,
                     other => usage_error(&format!(
                         "unknown execution mode '{other}' (fast, observed)"
                     )),
@@ -342,80 +343,14 @@ fn parse_flags(args: &[String]) -> Flags {
     flags
 }
 
-/// A reuse engine on either substrate: the reference engine or the
-/// predecoded throughput engine (`--fast`). Both make identical reuse
-/// decisions; only the machinery underneath differs.
-enum AnyEngine {
-    Reference(Box<TraceReuseEngine>),
-    Fast(Box<ThroughputEngine>),
-}
-
-impl AnyEngine {
-    fn build(
-        program: &Program,
-        config: EngineConfig,
-        warm: Option<&RtmSnapshot>,
-        fast: bool,
-    ) -> Self {
-        match (fast, warm) {
-            (true, Some(s)) => {
-                AnyEngine::Fast(Box::new(ThroughputEngine::new_warm(program, config, s)))
-            }
-            (true, None) => AnyEngine::Fast(Box::new(ThroughputEngine::new(program, config))),
-            (false, Some(s)) => {
-                AnyEngine::Reference(Box::new(TraceReuseEngine::new_warm(program, config, s)))
-            }
-            (false, None) => AnyEngine::Reference(Box::new(TraceReuseEngine::new(program, config))),
-        }
-    }
-
-    fn set_source_run(&mut self, run: u64) {
-        match self {
-            AnyEngine::Reference(e) => e.set_source_run(run),
-            AnyEngine::Fast(e) => e.set_source_run(run),
-        }
-    }
-
-    fn run(&mut self, budget: u64) -> Result<EngineStats, trace_reuse::vm::VmError> {
-        match self {
-            AnyEngine::Reference(e) => e.run(budget),
-            AnyEngine::Fast(e) => e.run(budget),
-        }
-    }
-
-    fn export_rtm(&self) -> Option<RtmSnapshot> {
-        match self {
-            AnyEngine::Reference(e) => e.export_rtm(),
-            AnyEngine::Fast(e) => Some(e.export_rtm()),
-        }
-    }
-
-    fn state_digest(&self) -> u64 {
-        match self {
-            AnyEngine::Reference(e) => e.vm().state_digest(),
-            AnyEngine::Fast(e) => e.vm().state_digest(),
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            AnyEngine::Reference(_) => "reference",
-            AnyEngine::Fast(_) => "fast",
-        }
-    }
-}
-
 fn cmd_run(path: &str, flags: &Flags) {
     let program = load(path, flags.seed);
     if !flags.reuse && flags.warm_rtm.is_none() && flags.remote.is_none() {
         let mut vm = Vm::new(&program);
         let started = std::time::Instant::now();
-        let outcome = if flags.fast {
-            vm.run_fast(flags.budget)
-        } else {
-            vm.run(flags.budget, &mut NullSink)
-        }
-        .unwrap_or_else(|e| fail(&format!("runtime error: {e}")));
+        let outcome = vm
+            .run_mode(flags.budget, flags.mode, &mut NullSink)
+            .unwrap_or_else(|e| fail(&format!("runtime error: {e}")));
         let dt = started.elapsed();
         println!(
             "{}: {} instructions in {:.1} ms ({:.1} M instr/s, {} interpreter)",
@@ -426,10 +361,9 @@ fn cmd_run(path: &str, flags: &Flags) {
             outcome.executed(),
             dt.as_secs_f64() * 1e3,
             outcome.executed() as f64 / dt.as_secs_f64() / 1e6,
-            if flags.fast {
-                "predecoded"
-            } else {
-                "observing"
+            match flags.mode {
+                ExecMode::Fast => "predecoded",
+                ExecMode::Observed => "observing",
             }
         );
         if flags.digest {
@@ -452,6 +386,13 @@ fn cmd_run(path: &str, flags: &Flags) {
     let remote = flags.remote.as_deref().map(|sock| {
         RemoteRegistry::connect(Path::new(sock)).unwrap_or_else(|e| fail(&format!("{sock}: {e}")))
     });
+    let build = |warm: Option<&RtmSnapshot>| {
+        match warm {
+            Some(snapshot) => ThroughputEngine::new_warm(&program, config, snapshot),
+            None => ThroughputEngine::new(&program, config),
+        }
+        .with_mode(flags.mode)
+    };
     let mut engine = if let Some(remote) = &remote {
         let sock = flags.remote.as_deref().unwrap_or_default();
         match remote
@@ -463,11 +404,11 @@ fn cmd_run(path: &str, flags: &Flags) {
                     "warm start: {} traces from daemon at {sock}",
                     snapshot.len()
                 );
-                AnyEngine::build(&program, config, Some(&snapshot), flags.fast)
+                build(Some(&snapshot))
             }
             None => {
                 println!("cold start: daemon at {sock} has no state for this program");
-                AnyEngine::build(&program, config, None, flags.fast)
+                build(None)
             }
         }
     } else if let Some(snap_path) = &flags.warm_rtm {
@@ -477,9 +418,9 @@ fn cmd_run(path: &str, flags: &Flags) {
             "warm start: {} traces imported from {snap_path}",
             snapshot.len()
         );
-        AnyEngine::build(&program, config, Some(&snapshot), flags.fast)
+        build(Some(&snapshot))
     } else {
-        AnyEngine::build(&program, config, None, flags.fast)
+        build(None)
     };
     engine.set_source_run(flags.seed);
     let started = std::time::Instant::now();
@@ -488,13 +429,12 @@ fn cmd_run(path: &str, flags: &Flags) {
         .unwrap_or_else(|e| fail(&format!("engine error: {e}")));
     let dt = started.elapsed();
     if let Some(remote) = &remote {
-        if let Some(mut snapshot) = engine.export_rtm() {
-            snapshot.shape = shape;
-            remote
-                .publish(fingerprint, &snapshot)
-                .unwrap_or_else(|e| fail(&format!("publish: {e}")));
-            println!("published {} traces back to the daemon", snapshot.len());
-        }
+        let mut snapshot = engine.export_rtm();
+        snapshot.shape = shape;
+        remote
+            .publish(fingerprint, &snapshot)
+            .unwrap_or_else(|e| fail(&format!("publish: {e}")));
+        println!("published {} traces back to the daemon", snapshot.len());
     }
     println!(
         "{}: {} total instructions ({} executed, {} skipped)",
@@ -516,7 +456,10 @@ fn cmd_run(path: &str, flags: &Flags) {
     println!(
         "throughput: {:.1} M instr/s ({} engine)",
         stats.total() as f64 / dt.as_secs_f64().max(1e-9) / 1e6,
-        engine.label()
+        match flags.mode {
+            ExecMode::Fast => "fast",
+            ExecMode::Observed => "observed",
+        }
     );
     println!(
         "RTM [{} {} {}]: {} lookups, {} hits, {} stores, {} evictions",
@@ -529,7 +472,7 @@ fn cmd_run(path: &str, flags: &Flags) {
         stats.rtm.evictions
     );
     if flags.digest {
-        println!("state digest: {:016x}", engine.state_digest());
+        println!("state digest: {:016x}", engine.vm().state_digest());
     }
 }
 
@@ -663,7 +606,7 @@ fn cmd_merge(inputs: &[String], flags: &Flags) {
                 .1
         })
         .collect();
-    let outcome = RtmSnapshot::merge_detailed_with(&snapshots, flags.policy)
+    let outcome = RtmSnapshot::merge_detailed(&snapshots, flags.policy, flags.lfu_half_life)
         .unwrap_or_else(|e| fail(&format!("merge: {e}")));
     save_snapshot(Path::new(out), fingerprint, &outcome.snapshot)
         .unwrap_or_else(|e| fail(&format!("{out}: {e}")));
@@ -691,7 +634,7 @@ fn cmd_merge(inputs: &[String], flags: &Flags) {
 fn cmd_compact(dir: &str, flags: &Flags) {
     use std::collections::BTreeMap;
     use std::path::PathBuf;
-    use trace_reuse::persist::{base_file_name, load_merged_snapshots_tuned};
+    use trace_reuse::persist::{base_file_name, commit_file, load_merged_snapshots, sync_dir};
 
     let dir_path = Path::new(dir);
     let entries = std::fs::read_dir(dir_path)
@@ -724,14 +667,10 @@ fn cmd_compact(dir: &str, flags: &Flags) {
             println!("{fingerprint:016x}: already a lone base file, nothing to fold");
             continue;
         }
-        let (_, snapshot) = load_merged_snapshots_tuned(
-            paths,
-            Some(*fingerprint),
-            flags.policy,
-            flags.lfu_half_life,
-        )
-        .unwrap_or_else(|e| fail(&format!("{fingerprint:016x}: {e}")));
-        // Write the fresh base next to the inputs, then rename into
+        let (_, snapshot) =
+            load_merged_snapshots(paths, Some(*fingerprint), flags.policy, flags.lfu_half_life)
+                .unwrap_or_else(|e| fail(&format!("{fingerprint:016x}: {e}")));
+        // Write the fresh base next to the inputs, then commit it into
         // place, so a crash mid-compaction never leaves a half-written
         // base where loaders can see it.
         let tmp = base.with_extension("tmp");
@@ -750,7 +689,9 @@ fn cmd_compact(dir: &str, flags: &Flags) {
                     .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
             }
         }
-        std::fs::rename(&tmp, &base).unwrap_or_else(|e| fail(&format!("{}: {e}", base.display())));
+        // The directory sync inside the commit also makes the `.bak`
+        // renames durable.
+        commit_file(&tmp, &base).unwrap_or_else(|e| fail(&format!("{}: {e}", base.display())));
         if !flags.keep_deltas {
             for path in paths {
                 if *path != base {
@@ -758,6 +699,9 @@ fn cmd_compact(dir: &str, flags: &Flags) {
                         .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
                 }
             }
+            // A deleted delta that came back after a crash would replay
+            // its stale groups over the new base.
+            sync_dir(dir_path).unwrap_or_else(|e| fail(&format!("{dir}: {e}")));
         }
         println!(
             "{fingerprint:016x}: folded {} files ({} traces) into {} [{} pooling]{}",

@@ -16,21 +16,22 @@ use std::hash::Hasher;
 use std::path::PathBuf;
 use tlr_core::{
     ReplacementPolicy, ReuseTraceMemory, RtmConfig, RtmSnapshot, SetAssocGeometry, TraceMeta,
-    TraceRecord,
+    TraceRecord, LFU_HALF_LIFE,
 };
 use tlr_isa::Loc;
 use tlr_persist::snapshot::MAX_GEOMETRY_CAPACITY;
 use tlr_persist::{
     base_file_name, delta_file_name, diff_snapshots, group_digests, load_merged_snapshots,
-    load_merged_snapshots_with, load_snapshot, save_delta_segment, save_snapshot, DeltaSegment,
-    Header, PersistError, FLAG_DELTA_SEGMENT, FORMAT_VERSION, KIND_RTM_SNAPSHOT,
-    MIN_SUPPORTED_VERSION,
+    load_snapshot, save_delta_segment, save_snapshot, DeltaSegment, Header, PersistError,
+    FLAG_DELTA_SEGMENT, FORMAT_VERSION, KIND_RTM_SNAPSHOT, MIN_SUPPORTED_VERSION,
 };
 use tlr_util::fxhash::FxHasher64;
 
 /// Per-test temp directory: each test function uses its own tag so the
 /// deterministic `{fingerprint}-base` / `{fingerprint}-delta-NNNNNN`
 /// file names never race across parallel test threads.
+const LRU: ReplacementPolicy = ReplacementPolicy::Lru;
+
 fn temp_path(tag: &str, name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tlr-delta-compat-{tag}"));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -334,9 +335,9 @@ proptest! {
         save_snapshot(&full, fp, states.last().unwrap()).unwrap();
 
         for policy in ReplacementPolicy::ALL {
-            let (_, from_split) = load_merged_snapshots_with(&split, Some(fp), policy).unwrap();
+            let (_, from_split) = load_merged_snapshots(&split, Some(fp), policy, LFU_HALF_LIFE).unwrap();
             let (_, from_full) =
-                load_merged_snapshots_with(std::slice::from_ref(&full), Some(fp), policy).unwrap();
+                load_merged_snapshots(std::slice::from_ref(&full), Some(fp), policy, LFU_HALF_LIFE).unwrap();
             prop_assert_eq!(
                 from_split.len(),
                 from_full.len(),
@@ -370,14 +371,14 @@ proptest! {
         save_snapshot(&base, 7, &old).unwrap();
         save_delta_segment(&delta_path, 7, &delta, compress).unwrap();
         let paths = [base, delta_path.clone()];
-        let (_, clean) = load_merged_snapshots(&paths, None).unwrap();
+        let (_, clean) = load_merged_snapshots(&paths, None, LRU, LFU_HALF_LIFE).unwrap();
         let clean_digests = group_digests(&clean).unwrap();
 
         let mut bytes = std::fs::read(&delta_path).unwrap();
         let offset = (offset % bytes.len() as u64) as usize;
         bytes[offset] ^= 1 << bit;
         std::fs::write(&delta_path, &bytes).unwrap();
-        if let Ok((_, merged)) = load_merged_snapshots(&paths, None) {
+        if let Ok((_, merged)) = load_merged_snapshots(&paths, None, LRU, LFU_HALF_LIFE) {
             prop_assert_eq!(
                 group_digests(&merged).unwrap(),
                 clean_digests,
@@ -405,7 +406,7 @@ proptest! {
         bytes.truncate(bytes.len() - cut);
         std::fs::write(&delta_path, &bytes).unwrap();
         prop_assert!(
-            load_merged_snapshots(&[base, delta_path], None).is_err(),
+            load_merged_snapshots(&[base, delta_path], None, LRU, LFU_HALF_LIFE).is_err(),
             "truncated delta segment accepted ({cut} bytes cut)"
         );
     }
@@ -437,7 +438,7 @@ fn cap_busting_delta_geometry_rejected() {
         for ext in ["tlrsnap", "json"] {
             let path = temp_path("hostile", &format!("geom-{tag}.{ext}"));
             save_delta_segment(&path, 7, &delta, false).unwrap();
-            match load_merged_snapshots(&[path], None) {
+            match load_merged_snapshots(&[path], None, LRU, LFU_HALF_LIFE) {
                 Err(PersistError::Corrupt(msg)) => {
                     assert!(
                         msg.contains("oversized"),
@@ -473,7 +474,7 @@ fn cap_busting_tombstone_count_rejected_before_allocation() {
     put_u64(&mut bytes, MAX_GEOMETRY_CAPACITY + 1);
     let path = temp_path("hostile", "tombstone-cap.tlrsnap");
     std::fs::write(&path, &bytes).unwrap();
-    match load_merged_snapshots(&[path], None) {
+    match load_merged_snapshots(&[path], None, LRU, LFU_HALF_LIFE) {
         Err(PersistError::Corrupt(msg)) => {
             assert!(
                 msg.contains("tombstones") && msg.contains("cap"),
@@ -528,7 +529,7 @@ fn json_corrupt_delta_rejected() {
         let bad = good.replacen(find, replace, 1);
         std::fs::write(&path, &bad).unwrap();
         assert!(
-            load_merged_snapshots(std::slice::from_ref(&path), None).is_err(),
+            load_merged_snapshots(std::slice::from_ref(&path), None, LRU, LFU_HALF_LIFE).is_err(),
             "{tag}: corrupt delta accepted"
         );
     }

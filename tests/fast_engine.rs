@@ -1,19 +1,30 @@
 //! Cross-check harness for the predecoded throughput engine: the fast
 //! substrate (predecode tables, straight-line trace blocks, batched
 //! execution) must be *invisible* — every workload, every replacement
-//! policy, and arbitrary valid programs must end in exactly the state
-//! the reference engine and the observing interpreter produce, with
-//! identical instruction accounting and identical reuse decisions.
+//! policy, cold and warm starts, and arbitrary valid programs must end
+//! in exactly the state the reference engine and the plain interpreter
+//! produce, with identical instruction accounting and identical reuse
+//! decisions.
 
 use proptest::prelude::*;
+use tlr_bench::fleet::{FLEET_COLD_A, FLEET_COLD_B, FLEET_WARM};
 use tlr_core::{
-    EngineConfig, Heuristic, ReplacementPolicy, RtmConfig, ThroughputEngine, TraceReuseEngine,
+    EngineConfig, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot, ThroughputEngine,
+    TraceReuseEngine,
 };
 use tlr_isa::NullSink;
 use tlr_vm::{ExecMode, Vm};
-use trace_reuse::asm::assemble;
+use trace_reuse::asm::{assemble, Program};
 
 const BUDGET: u64 = 60_000;
+
+/// The plain VM's state digest after `total` instructions: where every
+/// engine that made that much progress must be.
+fn plain_digest(prog: &Program, total: u64) -> u64 {
+    let mut vm = Vm::new(prog);
+    vm.run_fast(total).expect("plain run");
+    vm.state_digest()
+}
 
 #[test]
 fn fast_engine_matches_reference_on_every_workload() {
@@ -66,6 +77,74 @@ fn fast_engine_matches_reference_across_policies() {
                 reference.vm().state_digest(),
                 "{} [{policy}]: architectural state diverged",
                 w.name
+            );
+        }
+    }
+}
+
+#[test]
+fn fast_engine_matches_reference_on_warm_starts() {
+    // Warm starts from one producer's export and from the merge of the
+    // fleet's two diverse producers: the fast engine in both modes takes
+    // the reference engine's decisions, and a serving-only engine runs
+    // the same course; every engine ends where the plain VM does.
+    const WARM_BUDGET: u64 = 30_000;
+    let config = |heuristic| EngineConfig::paper(RtmConfig::RTM_4K, heuristic);
+    for w in tlr_workloads::all() {
+        let prog = w.program(17);
+        let export = |heuristic| {
+            let mut producer = TraceReuseEngine::new(&prog, config(heuristic));
+            producer
+                .run(WARM_BUDGET)
+                .unwrap_or_else(|e| panic!("{}: producer: {e}", w.name));
+            producer.export_rtm().expect("value-comparison RTM exports")
+        };
+        let solo = export(FLEET_COLD_A);
+        let merged = RtmSnapshot::merge(&[solo.clone(), export(FLEET_COLD_B)])
+            .unwrap_or_else(|e| panic!("{}: merge: {e}", w.name));
+        for (source, snapshot) in [("solo", &solo), ("merged", &merged)] {
+            let label = format!("{}/{source}", w.name);
+            let mut reference = TraceReuseEngine::new_warm(&prog, config(FLEET_WARM), snapshot);
+            reference.enable_tap();
+            let ref_stats = reference
+                .run(WARM_BUDGET)
+                .unwrap_or_else(|e| panic!("{label}: reference: {e}"));
+            let ref_decisions = reference.take_tap().expect("tap enabled").digest();
+            let plain = plain_digest(&prog, ref_stats.total());
+            assert_eq!(reference.vm().state_digest(), plain, "{label}: reference");
+
+            for mode in [ExecMode::Fast, ExecMode::Observed] {
+                let mut engine =
+                    ThroughputEngine::new_warm(&prog, config(FLEET_WARM), snapshot).with_mode(mode);
+                engine.enable_tap();
+                let stats = engine
+                    .run(WARM_BUDGET)
+                    .unwrap_or_else(|e| panic!("{label}/{mode:?}: throughput: {e}"));
+                assert_eq!(stats, ref_stats, "{label}/{mode:?}: stats diverged");
+                assert_eq!(
+                    engine.take_tap().expect("tap enabled").digest(),
+                    ref_decisions,
+                    "{label}/{mode:?}: decisions diverged"
+                );
+                assert_eq!(engine.vm().state_digest(), plain, "{label}/{mode:?}");
+            }
+
+            let mut serving = ThroughputEngine::new_warm(&prog, config(FLEET_WARM), snapshot)
+                .without_collection();
+            let stats = serving
+                .run(WARM_BUDGET)
+                .unwrap_or_else(|e| panic!("{label}: serving: {e}"));
+            // Without collection it hits other traces, so the last hit
+            // may carry it past the budget by a different amount; a run
+            // to `halt` must end at the same total.
+            assert_eq!(stats.halted, ref_stats.halted, "{label}: serving halt");
+            if stats.halted {
+                assert_eq!(stats.total(), ref_stats.total(), "{label}: serving total");
+            }
+            assert_eq!(
+                serving.vm().state_digest(),
+                plain_digest(&prog, stats.total()),
+                "{label}: serving"
             );
         }
     }
@@ -131,8 +210,10 @@ proptest! {
     }
 
     /// The throughput engine is the reference engine, on arbitrary valid
-    /// programs under all three replacement policies: same digest, same
-    /// executed/skipped counts, same number of reuse decisions.
+    /// programs under all three replacement policies, cold and then warm
+    /// from the cold run's export: same executed/skipped counts, same
+    /// number of reuse decisions, and the plain VM's state at the same
+    /// progress.
     #[test]
     fn fast_engine_matches_reference_on_random_programs(source in arb_program()) {
         let prog = assemble(&source).expect("generated programs are valid");
@@ -146,12 +227,19 @@ proptest! {
             prop_assert_eq!(stats.executed, ref_stats.executed, "{}", policy);
             prop_assert_eq!(stats.skipped, ref_stats.skipped, "{}", policy);
             prop_assert_eq!(stats.reuse_ops, ref_stats.reuse_ops, "{}", policy);
-            prop_assert_eq!(
-                engine.vm().state_digest(),
-                reference.vm().state_digest(),
-                "{}",
-                policy
-            );
+            let plain = plain_digest(&prog, stats.total());
+            prop_assert_eq!(reference.vm().state_digest(), plain, "{}", policy);
+            prop_assert_eq!(engine.vm().state_digest(), plain, "{}", policy);
+
+            let snapshot = engine.export_rtm();
+            let mut warm_reference = TraceReuseEngine::new_warm(&prog, config, &snapshot);
+            let warm_ref_stats = warm_reference.run(5_000).expect("warm reference run");
+            let mut warm = ThroughputEngine::new_warm(&prog, config, &snapshot);
+            let warm_stats = warm.run(5_000).expect("warm throughput run");
+            prop_assert_eq!(&warm_stats, &warm_ref_stats, "{} warm", policy);
+            let plain = plain_digest(&prog, warm_stats.total());
+            prop_assert_eq!(warm_reference.vm().state_digest(), plain, "{} warm", policy);
+            prop_assert_eq!(warm.vm().state_digest(), plain, "{} warm", policy);
         }
     }
 }

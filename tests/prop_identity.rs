@@ -10,7 +10,9 @@
 //! layer.
 
 use proptest::prelude::*;
-use tlr_core::{ReplacementPolicy, ReuseTraceMemory, RtmConfig, RtmSnapshot, TraceRecord};
+use tlr_core::{
+    ReplacementPolicy, ReuseTraceMemory, RtmConfig, RtmSnapshot, TraceRecord, LFU_HALF_LIFE,
+};
 use tlr_isa::Loc;
 use tlr_persist::snapshot::{read_snapshot, write_snapshot};
 use tlr_persist::{load_snapshot, program_fingerprint, program_shape_fingerprint, save_snapshot};
@@ -149,23 +151,26 @@ proptest! {
         v in any::<u64>(),
     ) {
         for &policy in &ReplacementPolicy::ALL {
-            let merged = RtmSnapshot::merge_with(
+            let merged = RtmSnapshot::merge_detailed(
                 &[snapshot_with_shape(v, shape_a), snapshot_with_shape(v ^ 1, shape_a)],
                 policy,
-            ).unwrap();
+                LFU_HALF_LIFE,
+            ).unwrap().snapshot;
             prop_assert_eq!(merged.shape, shape_a, "[{}] agreeing merge lost the shape", policy);
 
-            let with_unknown = RtmSnapshot::merge_with(
+            let with_unknown = RtmSnapshot::merge_detailed(
                 &[snapshot_with_shape(v, 0), snapshot_with_shape(v ^ 1, shape_a)],
                 policy,
-            ).unwrap();
+                LFU_HALF_LIFE,
+            ).unwrap().snapshot;
             prop_assert_eq!(with_unknown.shape, shape_a, "[{}] a value-pinned input vetoed", policy);
 
             if shape_a != shape_b {
-                let conflicted = RtmSnapshot::merge_with(
+                let conflicted = RtmSnapshot::merge_detailed(
                     &[snapshot_with_shape(v, shape_a), snapshot_with_shape(v ^ 1, shape_b)],
                     policy,
-                ).unwrap();
+                    LFU_HALF_LIFE,
+                ).unwrap().snapshot;
                 prop_assert_eq!(conflicted.shape, 0, "[{}] conflicting shapes not poisoned", policy);
             }
 

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use tlr_core::{
     EngineConfig, Heuristic, MergeError, ReplacementPolicy, ReuseTraceMemory, RtmConfig,
-    RtmSnapshot, SetAssocGeometry, TraceRecord, TraceReuseEngine,
+    RtmSnapshot, SetAssocGeometry, TraceRecord, TraceReuseEngine, LFU_HALF_LIFE,
 };
 use tlr_isa::Loc;
 
@@ -121,8 +121,12 @@ proptest! {
         b in warm_snapshot_strategy(),
     ) {
         for policy in ReplacementPolicy::ALL {
-            let merged = RtmSnapshot::merge_with(&[a.clone(), b.clone()], policy).unwrap();
-            let again = RtmSnapshot::merge_with(&[a.clone(), b.clone()], policy).unwrap();
+            let merge = || {
+                RtmSnapshot::merge_detailed(&[a.clone(), b.clone()], policy, LFU_HALF_LIFE)
+                    .unwrap()
+                    .snapshot
+            };
+            let (merged, again) = (merge(), merge());
             prop_assert_eq!(&merged, &again, "{} merge not deterministic", policy);
             prop_assert!(merged.len() as u64 <= TINY.capacity());
             let canonical = ReuseTraceMemory::import_with(&merged, policy).export();

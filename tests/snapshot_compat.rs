@@ -12,7 +12,7 @@
 
 use std::hash::Hasher;
 use std::path::PathBuf;
-use tlr_core::{ReplacementPolicy, ReuseTraceMemory, RtmConfig, TraceRecord};
+use tlr_core::{ReplacementPolicy, ReuseTraceMemory, RtmConfig, TraceRecord, LFU_HALF_LIFE};
 use tlr_isa::Loc;
 use tlr_persist::{
     load_snapshot, save_snapshot, PersistError, FORMAT_VERSION, MIN_SUPPORTED_VERSION,
@@ -135,8 +135,13 @@ fn v2_snapshot_loads_as_zero_provenance() {
 
     // A v2 pool still warm-starts and merges under every policy.
     for policy in ReplacementPolicy::ALL {
-        let merged = RtmSnapshot::merge_with(&[snapshot.clone(), snapshot.clone()], policy)
-            .expect("v2 state must merge");
+        let merged = RtmSnapshot::merge_detailed(
+            &[snapshot.clone(), snapshot.clone()],
+            policy,
+            LFU_HALF_LIFE,
+        )
+        .expect("v2 state must merge")
+        .snapshot;
         assert_eq!(merged.len(), 3, "{policy}");
         assert_eq!(
             ReuseTraceMemory::import_with(&merged, policy).resident(),
