@@ -106,26 +106,63 @@ impl SetAssocGeometry {
     }
 }
 
+/// Per-group state derived from a group's entries (the RTM's probe key
+/// and tag array; `()` for stores that keep none). [`SetAssocStore`] and
+/// [`PcGroup::move_to_mru`] report every change they make to a group's
+/// entries, so it never falls out of step with them.
+pub(crate) trait GroupIndex<T>: Default {
+    /// `entries` gained its last element. When that is the only element,
+    /// the group has just been created or handed over from an evicted PC,
+    /// and the index starts afresh.
+    fn pushed(&mut self, entries: &[T]);
+    /// The entry at `idx` was removed.
+    fn removed(&mut self, idx: usize);
+    /// The entry at `idx` moved to the MRU end.
+    fn moved_to_mru(&mut self, idx: usize);
+}
+
+impl<T> GroupIndex<T> for () {
+    fn pushed(&mut self, _entries: &[T]) {}
+    fn removed(&mut self, _idx: usize) {}
+    fn moved_to_mru(&mut self, _idx: usize) {}
+}
+
 /// One PC group: LRU-ordered entries (most recent last).
-pub(crate) struct PcGroup<T> {
+pub(crate) struct PcGroup<T, K = ()> {
     pub(crate) pc: u32,
     /// Entries, LRU-ordered: index 0 = least recently used.
     pub(crate) entries: Vec<T>,
     /// Tick of last touch, for group-level LRU.
     pub(crate) last_touch: u64,
+    /// State derived from `entries`, kept in step with them.
+    pub(crate) index: K,
 }
 
-/// A two-level LRU set-associative store, generic over the entry payload.
-/// Shared by [`FiniteIlrBuffer`] and the RTM.
-pub(crate) struct SetAssocStore<T> {
+impl<T, K: GroupIndex<T>> PcGroup<T, K> {
+    /// Move the entry at `idx` to the MRU end. Callers reach the group
+    /// through [`SetAssocStore::group_mut`], which has already stamped
+    /// its recency.
+    pub(crate) fn move_to_mru(&mut self, idx: usize) {
+        self.entries[idx..].rotate_left(1);
+        self.index.moved_to_mru(idx);
+    }
+}
+
+/// A victim rule over a full set's PC groups: returns the index of the
+/// group to evict.
+pub(crate) type GroupVictim<'a, T, K> = dyn FnMut(&[PcGroup<T, K>]) -> usize + 'a;
+
+/// A two-level LRU set-associative store, generic over the entry payload
+/// and a per-group index. Shared by [`FiniteIlrBuffer`] and the RTM.
+pub(crate) struct SetAssocStore<T, K = ()> {
     geometry: SetAssocGeometry,
-    sets: Vec<Vec<PcGroup<T>>>,
+    sets: Vec<Vec<PcGroup<T, K>>>,
     tick: u64,
     /// Entries currently resident.
     pub(crate) resident: u64,
 }
 
-impl<T> SetAssocStore<T> {
+impl<T, K: GroupIndex<T>> SetAssocStore<T, K> {
     pub(crate) fn new(geometry: SetAssocGeometry) -> Self {
         assert!(
             geometry.sets.is_power_of_two(),
@@ -144,16 +181,13 @@ impl<T> SetAssocStore<T> {
         self.geometry
     }
 
-    /// Find the entry group for `pc`, if resident. Bumps the group's LRU
-    /// tick.
-    pub(crate) fn group_mut(&mut self, pc: u32) -> Option<&mut Vec<T>> {
+    /// Find the group for `pc`, if resident. Bumps the group's LRU tick.
+    pub(crate) fn group_mut(&mut self, pc: u32) -> Option<&mut PcGroup<T, K>> {
         self.tick += 1;
         let set = &mut self.sets[self.geometry.set_of(pc)];
-        let tick = self.tick;
-        set.iter_mut().find(|g| g.pc == pc).map(|g| {
-            g.last_touch = tick;
-            &mut g.entries
-        })
+        let group = set.iter_mut().find(|g| g.pc == pc)?;
+        group.last_touch = self.tick;
+        Some(group)
     }
 
     /// Insert `entry` into `pc`'s group under pure LRU replacement at
@@ -174,7 +208,7 @@ impl<T> SetAssocStore<T> {
         pc: u32,
         entry: T,
         entry_victim: &mut dyn FnMut(&[T]) -> usize,
-        group_victim: &mut dyn FnMut(&[PcGroup<T>]) -> usize,
+        group_victim: &mut GroupVictim<'_, T, K>,
     ) -> u64 {
         self.tick += 1;
         let per_pc = self.geometry.per_pc as usize;
@@ -184,22 +218,25 @@ impl<T> SetAssocStore<T> {
         let group = match set.iter_mut().position(|g| g.pc == pc) {
             Some(i) => &mut set[i],
             None => {
-                // A full set hands the evicted group's entry vector to
-                // the new group instead of freeing it.
-                let entries = if set.len() == ways {
+                // A full set hands the evicted group's entry vector and
+                // index to the new group instead of freeing them.
+                let (entries, index) = if set.len() == ways {
                     let victim = group_victim(set).min(set.len() - 1);
-                    let mut entries = set.swap_remove(victim).entries;
+                    let PcGroup {
+                        mut entries, index, ..
+                    } = set.swap_remove(victim);
                     evicted += entries.len() as u64;
                     self.resident -= entries.len() as u64;
                     entries.clear();
-                    entries
+                    (entries, index)
                 } else {
-                    Vec::with_capacity(per_pc.min(4))
+                    (Vec::with_capacity(per_pc.min(4)), K::default())
                 };
                 set.push(PcGroup {
                     pc,
                     entries,
                     last_touch: 0,
+                    index,
                 });
                 let last = set.len() - 1;
                 &mut set[last]
@@ -209,10 +246,12 @@ impl<T> SetAssocStore<T> {
         if group.entries.len() == per_pc {
             let victim = entry_victim(&group.entries).min(group.entries.len() - 1);
             group.entries.remove(victim);
+            group.index.removed(victim);
             evicted += 1;
             self.resident -= 1;
         }
         group.entries.push(entry);
+        group.index.pushed(&group.entries);
         self.resident += 1;
         evicted
     }
@@ -223,7 +262,7 @@ impl<T> SetAssocStore<T> {
     /// store of the same geometry reproduces the replacement state.
     pub(crate) fn iter_lru(&self) -> impl Iterator<Item = (u32, &T)> {
         self.sets.iter().flat_map(|set| {
-            let mut groups: Vec<&PcGroup<T>> = set.iter().collect();
+            let mut groups: Vec<&PcGroup<T, K>> = set.iter().collect();
             groups.sort_by_key(|g| g.last_touch);
             groups
                 .into_iter()
@@ -233,25 +272,13 @@ impl<T> SetAssocStore<T> {
 
     /// Iterate the groups of every set (store order, no recency
     /// sorting) — provenance aggregation over resident entries.
-    pub(crate) fn iter_groups(&self) -> impl Iterator<Item = &PcGroup<T>> {
+    pub(crate) fn iter_groups(&self) -> impl Iterator<Item = &PcGroup<T, K>> {
         self.sets.iter().flatten()
-    }
-
-    /// Move the entry at `idx` of `pc`'s group to the MRU position.
-    pub(crate) fn touch(&mut self, pc: u32, idx: usize) {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = &mut self.sets[self.geometry.set_of(pc)];
-        if let Some(g) = set.iter_mut().find(|g| g.pc == pc) {
-            g.last_touch = tick;
-            let entry = g.entries.remove(idx);
-            g.entries.push(entry);
-        }
     }
 }
 
 /// The default group-level victim rule: least recently touched.
-pub(crate) fn lru_group_victim<T>(groups: &[PcGroup<T>]) -> usize {
+pub(crate) fn lru_group_victim<T, K>(groups: &[PcGroup<T, K>]) -> usize {
     groups
         .iter()
         .enumerate()
@@ -283,9 +310,9 @@ impl FiniteIlrBuffer {
     pub fn probe_insert(&mut self, d: &DynInstr) -> bool {
         self.observed += 1;
         let sig = d.input_signature();
-        if let Some(entries) = self.store.group_mut(d.pc) {
-            if let Some(idx) = entries.iter().position(|s| *s == sig) {
-                self.store.touch(d.pc, idx);
+        if let Some(group) = self.store.group_mut(d.pc) {
+            if let Some(idx) = group.entries.iter().position(|s| *s == sig) {
+                group.move_to_mru(idx);
                 self.reusable += 1;
                 return true;
             }

@@ -13,9 +13,20 @@
 //! valid bit invalidated on every write — trades test latency for
 //! invalidation traffic; Figure 8b models its cost as reuse latency
 //! proportional to the trace I/O count, which `tlr-core::limits` covers.)
+//!
+//! The candidates of one PC are mostly other loop iterations' instances
+//! of the same path: they read the same leading locations and differ in
+//! the values found there. Each PC group therefore keeps a **probe key**:
+//! the leading live-in locations all of its entries share (at most
+//! three), and per entry a 64-bit tag mixing that entry's recorded
+//! values at them. A lookup reads the key locations once, walks the
+//! contiguous tags MRU-first, and runs the full live-in test only where
+//! the tag matches. A tag mismatch implies a failed test, so the tag
+//! only skips work: decisions, counters and recency are those of the
+//! plain scan.
 
 use crate::block::TraceBlock;
-use crate::ilr::{lru_group_victim, PcGroup, SetAssocGeometry, SetAssocStore};
+use crate::ilr::{lru_group_victim, GroupIndex, PcGroup, SetAssocGeometry, SetAssocStore};
 use crate::policy::{ReplacementPolicy, TraceMeta};
 use crate::trace::TraceRecord;
 use tlr_isa::{ClassMix, Loc};
@@ -96,8 +107,8 @@ impl RtmConfig {
 /// Counters for RTM behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RtmStats {
-    /// Reuse tests performed (one per fetch of a PC with resident traces
-    /// counts per candidate-set probe; misses on empty groups count too).
+    /// Reuse tests performed: one per fetch, whether or not the PC has a
+    /// group of resident traces.
     pub lookups: u64,
     /// Successful reuse tests.
     pub hits: u64,
@@ -119,7 +130,9 @@ pub struct RtmStats {
     /// validation-at-reuse invariant doing its job: shape-shared state
     /// (same code, different data) parks traces in the RTM that only
     /// apply when the values line up, and every rejection lands here
-    /// instead of passing silently as a generic miss.
+    /// instead of passing silently as a generic miss. A candidate
+    /// rejected by its probe-key tag counts here exactly like one that
+    /// fails the full live-in test.
     pub value_rejects: u64,
 }
 
@@ -140,6 +153,106 @@ impl PartialEq for RtmEntry {
     /// derived state and never participates.
     fn eq(&self, other: &Self) -> bool {
         self.rec == other.rec && self.meta == other.meta
+    }
+}
+
+/// Most leading live-in locations a probe key holds.
+const KEY_LOCS: usize = 3;
+
+/// A PC group's probe key and tag array: the leading live-in locations
+/// every resident entry shares, and per entry (parallel to the group's
+/// entries, LRU→MRU) a mix of that entry's recorded values there.
+///
+/// The invariant the probe rests on: an entry whose live-ins all match
+/// the current state has recorded exactly the current values at the key
+/// locations, so its tag equals the tag of those values. A tag mismatch
+/// therefore implies a failed reuse test; a match proves nothing and the
+/// full test still runs. With no shared leading location every tag is
+/// the same and the probe scans exactly as a plain one.
+///
+/// The key only shrinks: an insert whose leading locations differ cuts
+/// it to the shared part and re-tags the group, while evictions leave it
+/// as it is (a shorter key is still shared by the survivors).
+struct ProbeKey {
+    locs: [Loc; KEY_LOCS],
+    len: usize,
+    tags: Vec<u64>,
+}
+
+impl Default for ProbeKey {
+    fn default() -> Self {
+        Self {
+            locs: [Loc::IntReg(0); KEY_LOCS],
+            len: 0,
+            tags: Vec::new(),
+        }
+    }
+}
+
+/// Fold one value into a tag. For fixed other values the tag is a
+/// bijection of each one, so tags of values differing at a single key
+/// location never collide.
+#[inline]
+fn mix_tag(tag: u64, value: u64) -> u64 {
+    (tag.rotate_left(23) ^ value).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+impl ProbeKey {
+    fn tag_of_values(ins: &[(Loc, u64)]) -> u64 {
+        ins.iter().fold(0, |tag, &(_, value)| mix_tag(tag, value))
+    }
+
+    /// The tag an entry with live-ins `ins` would have, or `None` when
+    /// there are fewer live-ins than key locations (then no resident
+    /// entry has these live-ins).
+    fn tag_of(&self, ins: &[(Loc, u64)]) -> Option<u64> {
+        ins.get(..self.len).map(Self::tag_of_values)
+    }
+
+    /// The tag of the current state, read once per key location.
+    #[inline]
+    fn probe_tag(&self, read: impl Fn(Loc) -> u64) -> u64 {
+        self.locs[..self.len]
+            .iter()
+            .fold(0, |tag, &loc| mix_tag(tag, read(loc)))
+    }
+}
+
+impl GroupIndex<RtmEntry> for ProbeKey {
+    fn pushed(&mut self, entries: &[RtmEntry]) {
+        let (new, resident) = entries.split_last().expect("an entry was just pushed");
+        let ins = &new.rec.ins;
+        if resident.is_empty() {
+            self.len = ins.len().min(KEY_LOCS);
+            for (key, &(loc, _)) in self.locs.iter_mut().zip(ins.iter()) {
+                *key = loc;
+            }
+            self.tags.clear();
+        } else {
+            let shared = self.locs[..self.len]
+                .iter()
+                .zip(ins.iter())
+                .take_while(|(key, (loc, _))| *key == loc)
+                .count();
+            if shared < self.len {
+                self.len = shared;
+                self.tags.clear();
+                self.tags.extend(
+                    resident
+                        .iter()
+                        .map(|e| Self::tag_of_values(&e.rec.ins[..shared])),
+                );
+            }
+        }
+        self.tags.push(Self::tag_of_values(&ins[..self.len]));
+    }
+
+    fn removed(&mut self, idx: usize) {
+        self.tags.remove(idx);
+    }
+
+    fn moved_to_mru(&mut self, idx: usize) {
+        self.tags[idx..].rotate_left(1);
     }
 }
 
@@ -515,7 +628,7 @@ pub struct MergeOutcome {
 
 /// The Reuse Trace Memory.
 pub struct ReuseTraceMemory {
-    store: SetAssocStore<RtmEntry>,
+    store: SetAssocStore<RtmEntry, ProbeKey>,
     stats: RtmStats,
     policy: ReplacementPolicy,
     /// Monotonic use counter stamped into per-entry provenance
@@ -577,7 +690,7 @@ fn entry_victim(
 /// candidate exists.
 fn group_victim(
     policy: ReplacementPolicy,
-    groups: &[PcGroup<RtmEntry>],
+    groups: &[PcGroup<RtmEntry, ProbeKey>],
     pinned: Option<&FxHashSet<TraceRecord>>,
     now: u64,
     half_life: u64,
@@ -670,7 +783,7 @@ impl ReuseTraceMemory {
     /// The state closure is the processor's register file / memory read
     /// port; `tlr_vm::Vm::peek_loc` is the canonical implementation.
     pub fn lookup(&mut self, pc: u32, state: impl Fn(Loc) -> u64) -> Option<TraceRecord> {
-        let hit = self.probe(pc, |e| {
+        let hit = self.probe(pc, &state, |e| {
             e.rec.ins.iter().all(|&(loc, val)| state(loc) == val)
         })?;
         Some(hit.rec.clone())
@@ -698,20 +811,24 @@ impl ReuseTraceMemory {
     ) -> Result<Option<FastHit>, VmError> {
         let code_len = vm.code_len();
         let probe_vm = &*vm;
-        let hit = self.probe(pc, |e| match &e.block {
-            // A proven trace checks its flat per-class lists.
-            Some(b) => b.matches(probe_vm),
-            // No block yet (fresh insert or invalidated entry): probe
-            // the raw record without allocating. Under collection churn
-            // most entries are evicted before they ever match, so blocks
-            // are compiled only for traces that prove themselves with a
-            // hit.
-            None => e
-                .rec
-                .ins
-                .iter()
-                .all(|&(loc, val)| probe_vm.peek_loc(loc) == val),
-        });
+        let hit = self.probe(
+            pc,
+            |loc| probe_vm.peek_loc(loc),
+            |e| match &e.block {
+                // A proven trace checks its flat per-class lists.
+                Some(b) => b.matches(probe_vm),
+                // No block yet (fresh insert or invalidated entry): probe
+                // the raw record without allocating. Under collection churn
+                // most entries are evicted before they ever match, so blocks
+                // are compiled only for traces that prove themselves with a
+                // hit.
+                None => e
+                    .rec
+                    .ins
+                    .iter()
+                    .all(|&(loc, val)| probe_vm.peek_loc(loc) == val),
+            },
+        );
         let Some(RtmEntry { rec, block, .. }) = hit else {
             return Ok(None);
         };
@@ -731,38 +848,37 @@ impl ReuseTraceMemory {
         }))
     }
 
-    /// The MRU-first scan both reuse tests share: `matches` is the
-    /// per-entry live-in test. Counts the lookup and every candidate
-    /// scanned past (a value rejection: right PC, wrong live-ins); on a
-    /// hit, counts it, stamps the entry's provenance, refreshes it to
-    /// MRU and returns it.
+    /// The MRU-first scan both reuse tests share: `read` reads one
+    /// location of the current state and `matches` is the per-entry
+    /// live-in test. Reads the group's key locations once, and tests
+    /// only the entries whose tag matches ([`ProbeKey`]). Counts the
+    /// lookup and every candidate scanned past (a value rejection: right
+    /// PC, wrong live-ins, whether the tag or the full test rejected
+    /// it); on a hit, counts it, stamps the entry's provenance, refreshes
+    /// it to MRU and returns it.
     fn probe(
         &mut self,
         pc: u32,
+        read: impl Fn(Loc) -> u64,
         mut matches: impl FnMut(&RtmEntry) -> bool,
     ) -> Option<&mut RtmEntry> {
         self.stats.lookups += 1;
         self.tick += 1;
-        let entries = self.store.group_mut(pc)?;
+        let group = self.store.group_mut(pc)?;
+        let want = group.index.probe_tag(read);
         // Highest index is most recently used.
-        let mut found = None;
-        let mut rejected = 0u64;
-        for (idx, e) in entries.iter().enumerate().rev() {
-            if matches(e) {
-                found = Some(idx);
-                break;
-            }
-            rejected += 1;
-        }
-        self.stats.value_rejects += rejected;
+        let found = group
+            .index
+            .tags
+            .iter()
+            .zip(&group.entries)
+            .rposition(|(&tag, e)| tag == want && matches(e));
+        let scanned_past = group.entries.len() - found.map_or(0, |idx| idx + 1);
+        self.stats.value_rejects += scanned_past as u64;
         let idx = found?;
         self.stats.hits += 1;
-        // Move the hit to the MRU end in place: `group_mut` has already
-        // stamped the group's recency, so this is the store's `touch`
-        // without finding the group a second time.
-        let hit = entries.remove(idx);
-        entries.push(hit);
-        let entry = entries.last_mut().expect("the hit was just pushed");
+        group.move_to_mru(idx);
+        let entry = group.entries.last_mut().expect("the hit is resident");
         entry.meta.hits = entry.meta.hits.saturating_add(1);
         entry.meta.last_use = self.tick;
         Some(entry)
@@ -819,35 +935,44 @@ impl ReuseTraceMemory {
         pinned: Option<&FxHashSet<TraceRecord>>,
     ) {
         let pc = record.start_pc;
-        if let Some(entries) = self.store.group_mut(pc) {
-            if let Some(idx) = entries
-                .iter()
-                .position(|e| e.rec.ins == record.ins && e.rec.len == record.len)
-            {
-                if entries[idx].rec == record {
+        if let Some(group) = self.store.group_mut(pc) {
+            // Equal live-ins have equal tags.
+            let tag = group.index.tag_of(&record.ins);
+            if let Some(idx) = tag.and_then(|tag| {
+                group
+                    .index
+                    .tags
+                    .iter()
+                    .zip(&group.entries)
+                    .position(|(&t, e)| {
+                        t == tag && e.rec.ins == record.ins && e.rec.len == record.len
+                    })
+            }) {
+                let entry = &mut group.entries[idx];
+                if entry.rec == record {
                     if absorb {
-                        entries[idx].meta.absorb(&meta);
+                        entry.meta.absorb(&meta);
                     }
                     // Equality ignores the class mix; if the resident
                     // copy predates mixes (imported from an old
                     // snapshot) and the incoming one knows the mix,
                     // upgrade in place. The cached block carries the old
                     // mix, so it must be rebuilt.
-                    if entries[idx].rec.mix.is_empty() && !record.mix.is_empty() {
-                        entries[idx].rec.mix = record.mix;
-                        entries[idx].block = None;
+                    if entry.rec.mix.is_empty() && !record.mix.is_empty() {
+                        entry.rec.mix = record.mix;
+                        entry.block = None;
                     }
-                    self.store.touch(pc, idx);
                     self.stats.duplicate_stores += 1;
                 } else {
-                    entries[idx] = RtmEntry {
+                    // Same live-ins, so the tag stays valid.
+                    *entry = RtmEntry {
                         rec: record,
                         meta,
                         block: None,
                     };
-                    self.store.touch(pc, idx);
                     self.stats.conflicting_stores += 1;
                 }
+                group.move_to_mru(idx);
                 return;
             }
         }
@@ -1418,7 +1543,9 @@ mod tests {
     }
 
     fn cached_block(rtm: &mut ReuseTraceMemory, pc: u32, idx: usize) -> Option<&TraceBlock> {
-        rtm.store.group_mut(pc).unwrap()[idx].block.as_deref()
+        rtm.store.group_mut(pc).unwrap().entries[idx]
+            .block
+            .as_deref()
     }
 
     #[test]

@@ -736,8 +736,9 @@ const GOLDEN_FORMAT: &str = "tlr-golden-v1";
 
 /// Record the full corpus into `dir`: one binary trace per built-in
 /// workload plus `manifest.json` carrying the expected replay counts
-/// and the architectural-state / decision digests under every
-/// replacement policy.
+/// and, under every replacement policy, the architectural-state /
+/// decision digests and the RTM's lookup, hit, value-reject, store and
+/// eviction counts.
 fn golden_generate(dir: &Path) {
     use std::collections::BTreeMap;
     use trace_reuse::persist::json::{self, Json};
@@ -778,6 +779,23 @@ fn golden_generate(dir: &Path) {
             digests.insert(
                 "decisions".to_string(),
                 hex(engine.tap().expect("tap was enabled").digest()),
+            );
+            let rtm = engine.stats().rtm;
+            let counters = [
+                ("lookups", rtm.lookups),
+                ("hits", rtm.hits),
+                ("value_rejects", rtm.value_rejects),
+                ("stores", rtm.stores),
+                ("evictions", rtm.evictions),
+            ];
+            digests.insert(
+                "rtm".to_string(),
+                Json::Obj(
+                    counters
+                        .into_iter()
+                        .map(|(name, n)| (name.to_string(), Json::Num(n)))
+                        .collect(),
+                ),
             );
             policies.insert(policy.label().to_string(), Json::Obj(digests));
         }

@@ -2,15 +2,16 @@
 //! trace-identity work).
 //!
 //! `tests/golden/` holds one recorded trace per built-in workload plus
-//! a manifest of expected architectural-state and decision digests,
+//! a manifest of expected architectural-state and decision digests and
+//! RTM counters (lookups, hits, value rejects, stores, evictions),
 //! generated by `tlrsim golden --regen` under pinned parameters. This
 //! suite replays every corpus entry through both persist formats
 //! (binary streaming and JSON debug) and re-runs the reuse engine
-//! under every replacement policy, comparing digests against the
-//! manifest. Any divergence is a failure naming the workload and the
-//! first divergent PC — the corpus is the cross-version contract that
-//! engine, VM and persist changes cannot silently alter what the
-//! simulator computes.
+//! under every replacement policy, comparing digests and counters
+//! against the manifest. Any divergence is a failure naming the
+//! workload and the first divergent PC — the corpus is the
+//! cross-version contract that engine, VM and persist changes cannot
+//! silently alter what the simulator computes.
 //!
 //! Corpus staleness (regeneration producing different bytes than the
 //! checked-in files) is gated separately by `tlrsim golden` in CI.
@@ -215,6 +216,25 @@ fn golden_digests_match_under_every_policy() {
                 "{} [{policy}]: reuse-decision digest diverged from golden",
                 w.name
             );
+            // Both engines share one RTM probe, so the fast-vs-reference
+            // cross-checks cannot see a counting change both make; the
+            // corpus pins the counters themselves.
+            let rtm = engine.stats().rtm;
+            let counters = expected.field("rtm").unwrap();
+            for (name, actual) in [
+                ("lookups", rtm.lookups),
+                ("hits", rtm.hits),
+                ("value_rejects", rtm.value_rejects),
+                ("stores", rtm.stores),
+                ("evictions", rtm.evictions),
+            ] {
+                assert_eq!(
+                    actual,
+                    counters.field(name).unwrap().as_u64(name).unwrap(),
+                    "{} [{policy}]: RTM {name} diverged from golden",
+                    w.name
+                );
+            }
         }
     }
 }

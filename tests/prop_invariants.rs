@@ -5,7 +5,11 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use tlr_core::{InstrReuseTable, IoCaps, LimitConfig, LimitStudySink, TraceAccum, TraceRecord};
+use tlr_core::{
+    InstrReuseTable, IoCaps, LimitConfig, LimitStudySink, ReplacementPolicy, ReuseTraceMemory,
+    RtmConfig, RtmSnapshot, RtmStats, SetAssocGeometry, TraceAccum, TraceMeta, TraceRecord,
+    LFU_HALF_LIFE,
+};
 use tlr_isa::{Alpha21164, ClassMix, DynInstr, Loc, OpClass, StreamSink, UnitLatency};
 use tlr_timing::{analyze_base, TimingSim, Window};
 use tlr_workloads::synthetic::{generate, SyntheticConfig};
@@ -503,6 +507,373 @@ proptest! {
         };
         for caps in EQUIVALENCE_CAPS {
             same_record(a.merge(&b, &caps), set_map_merge(&a, &b, &caps))?;
+        }
+    }
+}
+
+/// The RTM geometry the probe properties run under: 2 sets × 2 PC groups
+/// × 3 traces per PC, so both levels evict often.
+const PROBE_RTM: RtmConfig = RtmConfig {
+    geometry: SetAssocGeometry {
+        sets: 2,
+        ways: 2,
+        per_pc: 3,
+    },
+};
+
+/// Start PCs: three share set 0 and two share set 1.
+const PROBE_PCS: [u32; 5] = [0, 2, 4, 1, 3];
+
+/// The leading live-ins most records at a PC share, so groups usually
+/// have a full three-location probe key for an odd record to shrink.
+const PROBE_PREFIX: [Loc; 3] = [Loc::IntReg(1), Loc::Mem(5), Loc::FpReg(2)];
+
+/// Every location a probe record or state names, the zero registers
+/// (which ignore writes and read as zero) included.
+const PROBE_LOCS: [Loc; 7] = [
+    Loc::IntReg(1),
+    Loc::Mem(5),
+    Loc::FpReg(2),
+    Loc::IntReg(2),
+    Loc::Mem(6),
+    Loc::IntReg(31),
+    Loc::FpReg(31),
+];
+
+/// Instructions in the probe VM's program; a recorded next PC at or past
+/// it makes a fast hit fail with `BadJumpTarget`.
+const PROBE_CODE_LEN: u32 = 20;
+
+/// A record that defeats the probe key as often as it fits it: the
+/// shared prefix cut at a random length, then a tail from the whole pool,
+/// so leading locations differ, live-ins may be empty, the zero
+/// registers may carry nonzero values, and a location may repeat. Values
+/// come from a small range, so lookups hit often.
+fn probe_record() -> impl Strategy<Value = TraceRecord> {
+    (
+        0..PROBE_PCS.len(),
+        (0usize..4, proptest::collection::vec(0u64..3, 3)),
+        proptest::collection::vec((0..PROBE_LOCS.len(), 0u64..3), 0..=2),
+        1u32..3,
+        0..PROBE_CODE_LEN + 2,
+        0u64..2,
+    )
+        .prop_map(|(pc, (shared, values), tail, len, next_pc, out)| {
+            let mut ins: Vec<(Loc, u64)> =
+                PROBE_PREFIX[..shared].iter().copied().zip(values).collect();
+            ins.extend(tail.into_iter().map(|(i, v)| (PROBE_LOCS[i], v)));
+            TraceRecord {
+                start_pc: PROBE_PCS[pc],
+                next_pc,
+                len,
+                ins: ins.into_boxed_slice(),
+                outs: vec![(Loc::IntReg(3), out)].into_boxed_slice(),
+                mix: ClassMix::EMPTY,
+            }
+        })
+}
+
+/// How [`RtmStep::Reinsert`] changes the resident record it re-inserts.
+#[derive(Clone, Copy, Debug)]
+enum Reinsert {
+    Same,
+    WithMix,
+    Conflicting,
+}
+
+/// One operation on the RTM under test.
+#[derive(Clone, Debug)]
+enum RtmStep {
+    Insert(TraceRecord),
+    InsertSeeded(TraceRecord, u64),
+    /// Insert again the `n`th exported trace (modulo residency): as it
+    /// is, with a class mix its resident copy lacks, or with different
+    /// outputs (a conflict).
+    Reinsert(usize, Reinsert),
+    /// Probe `pc` against a VM holding `state` (one value per
+    /// [`PROBE_LOCS`] entry).
+    Lookup(u32, Vec<u64>),
+    LookupFast(u32, Vec<u64>, bool),
+    /// Replace the RTM by an import of its own export.
+    Import,
+    /// Replace the RTM by an import of its export merged with these.
+    Merge(Vec<TraceRecord>),
+}
+
+fn rtm_step() -> impl Strategy<Value = RtmStep> {
+    (
+        0u8..14,
+        probe_record(),
+        (0..PROBE_PCS.len(), 0usize..12),
+        proptest::collection::vec(0u64..3, PROBE_LOCS.len()),
+        (any::<bool>(), 0u64..4),
+        proptest::collection::vec(probe_record(), 0..8),
+    )
+        .prop_map(|(kind, rec, (pc, nth), state, (want, hits), donor)| {
+            let pc = PROBE_PCS[pc];
+            match kind {
+                0..=2 => RtmStep::Insert(rec),
+                3 => RtmStep::InsertSeeded(rec, hits),
+                4 => RtmStep::Reinsert(nth, Reinsert::Same),
+                5 => RtmStep::Reinsert(nth, [Reinsert::WithMix, Reinsert::Conflicting][nth % 2]),
+                6..=7 => RtmStep::Lookup(pc, state),
+                8..=11 => RtmStep::LookupFast(pc, state, want),
+                12 => RtmStep::Import,
+                _ => RtmStep::Merge(donor),
+            }
+        })
+}
+
+/// A fresh probe VM holding `state`.
+fn probe_vm(state: &[u64]) -> tlr_vm::Vm {
+    let src = format!("{}halt\n", "nop\n".repeat(PROBE_CODE_LEN as usize - 1));
+    let mut vm = tlr_vm::Vm::new(&tlr_asm::assemble(&src).unwrap());
+    for (&loc, &value) in PROBE_LOCS.iter().zip(state) {
+        vm.poke_loc(loc, value);
+    }
+    vm
+}
+
+/// The reference model of the reuse test: scan a PC group's entries
+/// MRU-first and run every candidate's full live-in test, with no probe
+/// key. Built from `export()` before each step, it predicts that step's
+/// outcome and the export after it.
+struct ScanModel {
+    /// Resident traces in export order: per set, PC groups least
+    /// recently touched first; within a group, entries LRU → MRU.
+    groups: Vec<Vec<TraceRecord>>,
+    stats: RtmStats,
+    policy: ReplacementPolicy,
+}
+
+impl ScanModel {
+    fn of(rtm: &ReuseTraceMemory) -> Self {
+        let mut groups: Vec<Vec<TraceRecord>> = Vec::new();
+        for trace in rtm.export().traces {
+            match groups.last_mut() {
+                Some(group) if group[0].start_pc == trace.start_pc => group.push(trace),
+                _ => groups.push(vec![trace]),
+            }
+        }
+        Self {
+            groups,
+            stats: rtm.stats(),
+            policy: rtm.policy(),
+        }
+    }
+
+    fn set_of(pc: u32) -> u32 {
+        pc & (PROBE_RTM.geometry.sets - 1)
+    }
+
+    fn group_of(&self, pc: u32) -> Option<usize> {
+        self.groups.iter().position(|g| g[0].start_pc == pc)
+    }
+
+    /// Where a group of `pc`'s set goes when it becomes the set's most
+    /// recently touched.
+    fn set_end(&self, pc: u32) -> usize {
+        let set = Self::set_of(pc);
+        self.groups
+            .iter()
+            .rposition(|g| Self::set_of(g[0].start_pc) <= set)
+            .map_or(0, |i| i + 1)
+    }
+
+    /// Stamp group `g` most recently touched in its set; returns its new
+    /// index.
+    fn touch(&mut self, g: usize) -> usize {
+        let group = self.groups.remove(g);
+        let at = self.set_end(group[0].start_pc);
+        self.groups.insert(at, group);
+        at
+    }
+
+    /// The hit is the most recent entry whose live-ins all match; every
+    /// entry after it (all of them on a miss) is a value reject.
+    fn lookup(&mut self, pc: u32, vm: &tlr_vm::Vm) -> Option<TraceRecord> {
+        self.stats.lookups += 1;
+        let g = self.touch(self.group_of(pc)?);
+        let entries = &mut self.groups[g];
+        let hit = entries
+            .iter()
+            .rposition(|e| e.ins.iter().all(|&(loc, v)| vm.peek_loc(loc) == v));
+        self.stats.value_rejects += (entries.len() - hit.map_or(0, |i| i + 1)) as u64;
+        let rec = entries.remove(hit?);
+        entries.push(rec.clone());
+        self.stats.hits += 1;
+        Some(rec)
+    }
+
+    /// Predict an insert. Returns `false` when a victim had to be chosen
+    /// by a policy other than LRU: the model does not rank victims, so
+    /// the eviction count and the export are then left unpredicted.
+    fn insert(&mut self, record: TraceRecord) -> bool {
+        let pc = record.start_pc;
+        let ways = PROBE_RTM.geometry.ways as usize;
+        let per_pc = PROBE_RTM.geometry.per_pc as usize;
+        let lru = self.policy == ReplacementPolicy::Lru;
+        if let Some(g) = self.group_of(pc) {
+            let g = self.touch(g);
+            let entries = &mut self.groups[g];
+            if let Some(idx) = entries
+                .iter()
+                .position(|e| e.ins == record.ins && e.len == record.len)
+            {
+                let resident = entries.remove(idx);
+                if resident == record {
+                    self.stats.duplicate_stores += 1;
+                    entries.push(resident);
+                } else {
+                    self.stats.conflicting_stores += 1;
+                    entries.push(record);
+                }
+                return true;
+            }
+            self.stats.stores += 1;
+            if entries.len() == per_pc {
+                self.stats.evictions += 1;
+                if !lru {
+                    return false;
+                }
+                entries.remove(0);
+            }
+            entries.push(record);
+            return true;
+        }
+        self.stats.stores += 1;
+        let set = Self::set_of(pc);
+        let in_set: Vec<usize> = (0..self.groups.len())
+            .filter(|&i| Self::set_of(self.groups[i][0].start_pc) == set)
+            .collect();
+        if in_set.len() == ways {
+            if !lru {
+                return false;
+            }
+            self.stats.evictions += self.groups.remove(in_set[0]).len() as u64;
+        }
+        let at = self.set_end(pc);
+        self.groups.insert(at, vec![record]);
+        true
+    }
+
+    fn check(&self, rtm: &ReuseTraceMemory, step: &RtmStep) -> Result<(), TestCaseError> {
+        prop_assert_eq!(rtm.stats(), self.stats, "stats after {:?}", step);
+        prop_assert_eq!(
+            &ScanModel::of(rtm).groups,
+            &self.groups,
+            "export after {:?}",
+            step
+        );
+        Ok(())
+    }
+}
+
+/// Run `steps` on a fresh RTM under `policy`, checking each against the
+/// scan model.
+fn check_probe_against_scan(
+    steps: &[RtmStep],
+    policy: ReplacementPolicy,
+) -> Result<(), TestCaseError> {
+    let mut rtm = ReuseTraceMemory::new_with(PROBE_RTM, policy);
+    for step in steps {
+        let mut model = ScanModel::of(&rtm);
+        let reinserted = match step {
+            RtmStep::Reinsert(nth, how) => {
+                let resident = rtm.export().traces;
+                resident.get(nth % resident.len().max(1)).map(|t| {
+                    let mut rec = t.clone();
+                    match how {
+                        Reinsert::Same => {}
+                        Reinsert::WithMix => rec.mix.record(OpClass::IntAlu),
+                        Reinsert::Conflicting => rec.outs = Box::new([(Loc::IntReg(4), 1)]),
+                    }
+                    RtmStep::Insert(rec)
+                })
+            }
+            _ => None,
+        };
+        let step = reinserted.as_ref().unwrap_or(step);
+        match step {
+            RtmStep::Reinsert(..) => {}
+            RtmStep::Insert(rec) | RtmStep::InsertSeeded(rec, _) => {
+                let predicted = model.insert(rec.clone());
+                match step {
+                    RtmStep::InsertSeeded(_, hits) => rtm.insert_seeded(
+                        rec.clone(),
+                        TraceMeta {
+                            hits: *hits,
+                            ..TraceMeta::default()
+                        },
+                    ),
+                    _ => rtm.insert(rec.clone()),
+                }
+                if predicted {
+                    model.check(&rtm, step)?;
+                } else {
+                    let mut stats = rtm.stats();
+                    stats.evictions = model.stats.evictions;
+                    prop_assert_eq!(stats, model.stats, "stats after {:?}", step);
+                }
+            }
+            RtmStep::Lookup(pc, state) => {
+                let vm = probe_vm(state);
+                let expected = model.lookup(*pc, &vm);
+                let hit = rtm.lookup(*pc, |loc| vm.peek_loc(loc));
+                prop_assert_eq!(&hit, &expected, "hit of {:?}", step);
+                model.check(&rtm, step)?;
+            }
+            RtmStep::LookupFast(pc, state, want_record) => {
+                let mut vm = probe_vm(state);
+                let expected = model.lookup(*pc, &vm);
+                match (rtm.lookup_fast(*pc, &mut vm, *want_record), &expected) {
+                    (Ok(None), None) => {}
+                    (Ok(Some(hit)), Some(rec)) => {
+                        prop_assert!(rec.next_pc < PROBE_CODE_LEN, "{:?} applied", step);
+                        prop_assert_eq!((hit.len, hit.next_pc), (rec.len, rec.next_pc));
+                        prop_assert_eq!(&hit.rec, &want_record.then(|| rec.clone()));
+                        prop_assert_eq!(vm.pc(), rec.next_pc);
+                    }
+                    (Err(_), Some(rec)) => {
+                        prop_assert!(rec.next_pc >= PROBE_CODE_LEN, "{:?} failed", step);
+                    }
+                    (got, _) => {
+                        return Err(TestCaseError(format!(
+                            "{step:?}: fast lookup gave {got:?}, the scan {expected:?}"
+                        )));
+                    }
+                }
+                model.check(&rtm, step)?;
+            }
+            RtmStep::Import | RtmStep::Merge(_) => {
+                let mut snapshot = rtm.export();
+                if let RtmStep::Merge(donor) = step {
+                    let donor = RtmSnapshot::from_traces(PROBE_RTM, donor.clone());
+                    snapshot =
+                        RtmSnapshot::merge_detailed(&[snapshot, donor], policy, LFU_HALF_LIFE)
+                            .unwrap()
+                            .snapshot;
+                }
+                rtm = ReuseTraceMemory::import_with(&snapshot, policy);
+                prop_assert_eq!(rtm.stats(), RtmStats::default());
+                prop_assert_eq!(&rtm.export().traces, &snapshot.traces);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The RTM's keyed probe decides exactly as the full MRU-first scan:
+    /// the same hit, the same counters, the hit moved to MRU, and the
+    /// same duplicate, conflict and eviction outcomes on insert, through
+    /// imports and merges, under every replacement policy.
+    #[test]
+    fn rtm_probe_matches_full_scan(steps in proptest::collection::vec(rtm_step(), 1..80)) {
+        for policy in ReplacementPolicy::ALL {
+            check_probe_against_scan(&steps, policy)?;
         }
     }
 }
