@@ -269,12 +269,6 @@ impl<T, K: GroupIndex<T>> SetAssocStore<T, K> {
                 .flat_map(|g| g.entries.iter().map(move |e| (g.pc, e)))
         })
     }
-
-    /// Iterate the groups of every set (store order, no recency
-    /// sorting) — provenance aggregation over resident entries.
-    pub(crate) fn iter_groups(&self) -> impl Iterator<Item = &PcGroup<T, K>> {
-        self.sets.iter().flatten()
-    }
 }
 
 /// The default group-level victim rule: least recently touched.

@@ -29,6 +29,7 @@ use crate::block::TraceBlock;
 use crate::ilr::{lru_group_victim, GroupIndex, PcGroup, SetAssocGeometry, SetAssocStore};
 use crate::policy::{ReplacementPolicy, TraceMeta};
 use crate::trace::TraceRecord;
+use std::borrow::Borrow;
 use tlr_isa::{ClassMix, Loc};
 use tlr_util::FxHashSet;
 use tlr_vm::{Vm, VmError};
@@ -469,12 +470,27 @@ impl RtmSnapshot {
     /// counting argument of [`merge`](RtmSnapshot::merge) shows a
     /// non-unanimous victim always exists when that pass needs one, so
     /// the restriction never wedges.
-    pub fn merge_detailed(
-        snapshots: &[RtmSnapshot],
+    ///
+    /// The inputs may be owned or shared (`&RtmSnapshot`,
+    /// `Arc<RtmSnapshot>`), so a caller pooling resident state need not
+    /// copy it first.
+    pub fn merge_detailed<S: Borrow<RtmSnapshot>>(
+        snapshots: &[S],
         policy: ReplacementPolicy,
         lfu_half_life: u64,
     ) -> Result<MergeOutcome, MergeError> {
-        let first = snapshots.first().ok_or(MergeError::Empty)?;
+        let snapshots: Vec<&RtmSnapshot> = snapshots.iter().map(Borrow::borrow).collect();
+        Self::merge_refs(&snapshots, policy, lfu_half_life)
+    }
+
+    /// The body of [`merge_detailed`](RtmSnapshot::merge_detailed),
+    /// compiled once rather than per input type.
+    fn merge_refs(
+        snapshots: &[&RtmSnapshot],
+        policy: ReplacementPolicy,
+        lfu_half_life: u64,
+    ) -> Result<MergeOutcome, MergeError> {
+        let first = *snapshots.first().ok_or(MergeError::Empty)?;
         for s in &snapshots[1..] {
             if s.config != first.config {
                 return Err(MergeError::GeometryMismatch {
@@ -999,22 +1015,6 @@ impl ReuseTraceMemory {
         }
     }
 
-    /// Every resident trace with its provenance (store order).
-    pub fn provenance(&self) -> impl Iterator<Item = (&TraceRecord, &TraceMeta)> {
-        self.store
-            .iter_groups()
-            .flat_map(|g| g.entries.iter())
-            .map(|e| (&e.rec, &e.meta))
-    }
-
-    /// Sum of resident traces' hit counts — how much *observed* reuse
-    /// the resident state represents, the serving registry's
-    /// hit-weighted residency metric.
-    pub fn hit_weighted_residency(&self) -> u64 {
-        self.provenance()
-            .fold(0, |acc, (_, m)| acc.saturating_add(m.hits))
-    }
-
     /// Capture the resident traces (geometry, records, and provenance)
     /// as a portable [`RtmSnapshot`] — the warm-start state a later run
     /// can [`import`](ReuseTraceMemory::import).
@@ -1449,17 +1449,15 @@ mod tests {
         rtm.insert(rec(10, &[(R1, 5)], &[(R2, 6)], 13));
         assert!(rtm.lookup(10, |l| if l == R1 { 5 } else { 0 }).is_some());
         assert!(rtm.lookup(10, |l| if l == R1 { 5 } else { 0 }).is_some());
-        assert_eq!(rtm.hit_weighted_residency(), 2);
-        let (_, meta) = rtm.provenance().next().unwrap();
-        assert_eq!(meta.hits, 2);
-        assert_eq!(meta.source_run, 42);
 
         let snapshot = rtm.export();
         assert_eq!(snapshot.meta.len(), snapshot.traces.len());
         assert_eq!(snapshot.total_hits(), 2);
+        let (_, meta) = snapshot.entries().next().unwrap();
+        assert_eq!(meta.hits, 2);
+        assert_eq!(meta.source_run, 42);
         let again = ReuseTraceMemory::import(&snapshot);
         assert_eq!(again.export(), snapshot, "provenance lost in roundtrip");
-        assert_eq!(again.hit_weighted_residency(), 2);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! it durable. This crate makes it **servable**: a long-lived process
 //! hosting many programs' reuse state at once keeps a
 //! [`SnapshotRegistry`] — an in-process cache mapping *program
-//! fingerprint → resident [`tlr_core::ReuseTraceMemory`]*, sharded
-//! across worker threads by fingerprint so concurrent fetches for
-//! different programs do not contend on one lock.
+//! fingerprint → one resident pooled [`tlr_core::RtmSnapshot`]* (shared
+//! by `Arc`, always a merge's output), sharded across worker threads by
+//! fingerprint so concurrent fetches for different programs do not
+//! contend on one lock.
 //!
 //! Capabilities:
 //!
@@ -23,7 +24,7 @@
 //!   via [`SnapshotRegistry::publish`], refreshing the resident entry
 //!   in place for the next run of that program;
 //! * **LRU bounding** — each shard keeps at most a configured number of
-//!   resident RTMs, evicting the least recently fetched entry, so a
+//!   resident programs, evicting the least recently fetched entry, so a
 //!   registry serving thousands of programs stays within memory budget;
 //! * **replacement policy** — [`RegistryConfig::policy`] selects the
 //!   [`tlr_core::ReplacementPolicy`] every pooling merge (load-time and

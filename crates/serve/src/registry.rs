@@ -12,12 +12,13 @@
 //! so a racing loader's result is reused instead of clobbered. The
 //! index lock and a shard lock are never held at the same time.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::SystemTime;
-use tlr_core::{ReplacementPolicy, ReuseTraceMemory, RtmSnapshot};
+use tlr_core::{ReplacementPolicy, RtmSnapshot};
 use tlr_persist::snapshot::write_snapshot;
 use tlr_persist::{
     base_file_name, commit_file, delta_file_name, delta_seq_from_path, diff_snapshots,
@@ -37,7 +38,7 @@ pub struct RegistryConfig {
     /// Number of shards (one lock each). Use at least the expected
     /// number of concurrently serving threads.
     pub shards: usize,
-    /// Resident RTMs a shard may hold before evicting its least
+    /// Resident programs a shard may hold before evicting its least
     /// recently fetched entry.
     pub max_resident_per_shard: usize,
     /// Replacement policy applied when pooling reuse state: both the
@@ -79,12 +80,13 @@ pub struct EntryStats {
     pub misses: u64,
     /// Publish-back merges applied to the resident entry.
     pub refreshes: u64,
-    /// Traces resident for this program (gauge, refreshed on every
-    /// load/publish).
+    /// Traces resident for this program (gauge, read off the resident
+    /// snapshot by [`SnapshotRegistry::entry_stats`]).
     pub resident_traces: u64,
     /// Hit-weighted residency: the sum of resident traces' provenance
     /// hit counts — how much *observed* reuse the resident state
-    /// represents, not just how many traces it holds (gauge).
+    /// represents, not just how many traces it holds (gauge, read off
+    /// the resident snapshot like `resident_traces`).
     pub resident_hits: u64,
     /// Image fetches answered from the cached serialized image.
     pub image_hits: u64,
@@ -103,7 +105,7 @@ pub struct EntryStats {
 /// Registry-wide aggregates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryStats {
-    /// RTMs currently resident across all shards.
+    /// Programs currently resident across all shards.
     pub resident: u64,
     /// Sum of per-entry hits (evicted entries included).
     pub hits: u64,
@@ -250,37 +252,62 @@ struct SpillState {
     delta_files: Vec<PathBuf>,
 }
 
-/// One resident program: its warm RTM, the export handed to engines,
+/// One resident program: its pooled reuse state, shared with engines,
 /// and behaviour counters.
 struct Entry {
-    /// Canonical resident reuse state; publish-back merges into it.
-    rtm: ReuseTraceMemory,
-    /// Cached export of `rtm`, shared with engines cheaply. Rebuilt on
-    /// refresh.
+    /// The resident reuse state, always a pooling merge's output and so
+    /// canonical. Replaced, never mutated: pointer identity tells states
+    /// apart.
     snap: Arc<RtmSnapshot>,
     /// Cached serialized snapshot file image of `snap`, built lazily by
     /// [`SnapshotRegistry::get_image`] and dropped whenever `snap` is
     /// replaced.
     image: Option<Arc<[u8]>>,
-    /// Bumped whenever `snap` is replaced, so an image serialized
-    /// outside the shard lock is cached only if the state it encoded
-    /// still stands.
-    generation: u64,
     /// `None` until the entry's state has a durable representation to
     /// diff against (publish-born entries before their first spill).
     spill: Option<SpillState>,
+    /// Lifetime counters; the residency gauges are read off `snap`.
     stats: EntryStats,
     /// Fetch-recency stamp for the shard's LRU bound.
     last_touch: u64,
 }
 
 impl Entry {
+    fn new(snap: RtmSnapshot, stats: EntryStats, spill: Option<SpillState>) -> Self {
+        Self {
+            snap: Arc::new(snap),
+            image: None,
+            spill,
+            stats,
+            last_touch: 0,
+        }
+    }
+
+    /// Count a fetch answered by this resident entry and hand out its
+    /// state.
+    fn hit(&mut self) -> Arc<RtmSnapshot> {
+        self.stats.hits += 1;
+        Arc::clone(&self.snap)
+    }
+
     /// Drop the cached image because `snap` was replaced.
     fn invalidate_image(&mut self) {
-        self.generation += 1;
         if self.image.take().is_some() {
             self.stats.image_invalidations += 1;
         }
+    }
+}
+
+impl EntryStats {
+    /// Add `other`'s lifetime counters (not its gauges) into `self`.
+    fn add_counters(&mut self, other: &EntryStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.refreshes += other.refreshes;
+        self.image_hits += other.image_hits;
+        self.image_builds += other.image_builds;
+        self.image_invalidations += other.image_invalidations;
+        self.shape_hits += other.shape_hits;
     }
 }
 
@@ -312,13 +339,7 @@ impl Shard {
                 .map(|(fp, _)| *fp)
                 .expect("len > 1, so a victim exists");
             if let Some(e) = self.entries.remove(&victim) {
-                self.retired.hits += e.stats.hits;
-                self.retired.misses += e.stats.misses;
-                self.retired.refreshes += e.stats.refreshes;
-                self.retired.image_hits += e.stats.image_hits;
-                self.retired.image_builds += e.stats.image_builds;
-                self.retired.image_invalidations += e.stats.image_invalidations;
-                self.retired.shape_hits += e.stats.shape_hits;
+                self.retired.add_counters(&e.stats);
             }
             evicted += 1;
         }
@@ -413,7 +434,7 @@ impl Index {
     }
 }
 
-/// A concurrent, sharded cache of warm RTMs keyed by program
+/// A concurrent, sharded cache of pooled reuse state keyed by program
 /// fingerprint, backed by a directory of `.tlrsnap` files. See the
 /// crate docs for the full model.
 pub struct SnapshotRegistry {
@@ -625,19 +646,42 @@ impl SnapshotRegistry {
 
     /// Pool several snapshots under the registry's policy and LFU
     /// half-life — the one merge rule every path (load, refresh,
-    /// publish) shares.
-    fn pool(&self, snapshots: &[RtmSnapshot]) -> Result<RtmSnapshot, tlr_core::MergeError> {
+    /// publish, shape resolution) shares, and the only way resident
+    /// state is made.
+    fn pool<S: Borrow<RtmSnapshot>>(
+        &self,
+        snapshots: &[S],
+    ) -> Result<RtmSnapshot, tlr_core::MergeError> {
         Ok(
             RtmSnapshot::merge_detailed(snapshots, self.config.policy, self.config.lfu_half_life)?
                 .snapshot,
         )
     }
 
-    /// Import a snapshot into a resident RTM tuned to the registry's
-    /// policy and LFU half-life.
-    fn import(&self, snapshot: &RtmSnapshot) -> ReuseTraceMemory {
-        ReuseTraceMemory::import_with(snapshot, self.config.policy)
-            .with_lfu_half_life(self.config.lfu_half_life)
+    /// Install `fresh`, built outside the shard lock, as `fingerprint`'s
+    /// resident entry — the one insert path `get`, `get_by_shape` and
+    /// `publish` share. If a racing caller installed one first, `fresh`
+    /// is dropped and `resident` is applied to that entry instead.
+    /// Returns `None` when `fresh` was installed.
+    fn install<R>(
+        &self,
+        fingerprint: u64,
+        mut fresh: Entry,
+        resident: impl FnOnce(&mut Entry) -> R,
+    ) -> Option<R> {
+        let mut shard = self.shard_of(fingerprint).lock().unwrap();
+        if let Some(entry) = shard.touch(fingerprint) {
+            return Some(resident(entry));
+        }
+        shard.tick += 1;
+        fresh.last_touch = shard.tick;
+        shard.entries.insert(fingerprint, fresh);
+        let evicted = shard.enforce_bound(self.config.max_resident_per_shard);
+        drop(shard);
+        if evicted > 0 {
+            self.evicted.fetch_add(evicted, Ordering::Relaxed);
+        }
+        None
     }
 
     fn shard_of(&self, fingerprint: u64) -> &Mutex<Shard> {
@@ -662,8 +706,7 @@ impl SnapshotRegistry {
         {
             let mut shard = self.shard_of(fingerprint).lock().unwrap();
             if let Some(entry) = shard.touch(fingerprint) {
-                entry.stats.hits += 1;
-                return Ok(Some(Arc::clone(&entry.snap)));
+                return Ok(Some(entry.hit()));
             }
         }
         let paths = self.paths(fingerprint);
@@ -695,42 +738,19 @@ impl SnapshotRegistry {
                 .cloned()
                 .collect(),
         };
-        let loaded = Entry {
-            rtm: self.import(&merged),
-            stats: EntryStats {
+        let loaded = Entry::new(
+            merged,
+            EntryStats {
                 misses: 1,
-                resident_traces: merged.len() as u64,
-                resident_hits: merged.total_hits(),
                 ..EntryStats::default()
             },
-            snap: Arc::new(merged),
-            image: None,
-            generation: 0,
-            spill: Some(spill),
-            last_touch: 0,
-        };
-        let mut shard = self.shard_of(fingerprint).lock().unwrap();
-        if let Some(entry) = shard.touch(fingerprint) {
-            // A racing fetch resolved the miss first; use its entry.
-            entry.stats.hits += 1;
-            return Ok(Some(Arc::clone(&entry.snap)));
-        }
-        shard.tick += 1;
-        let tick = shard.tick;
-        let snap = Arc::clone(&loaded.snap);
-        shard.entries.insert(
-            fingerprint,
-            Entry {
-                last_touch: tick,
-                ..loaded
-            },
+            Some(spill),
         );
-        let evicted = shard.enforce_bound(self.config.max_resident_per_shard);
-        drop(shard);
-        if evicted > 0 {
-            self.evicted.fetch_add(evicted, Ordering::Relaxed);
-        }
-        Ok(Some(snap))
+        let snap = Arc::clone(&loaded.snap);
+        // A racing fetch may have resolved the miss first; then its
+        // entry serves.
+        let raced = self.install(fingerprint, loaded, Entry::hit);
+        Ok(Some(raced.unwrap_or(snap)))
     }
 
     /// [`get`](SnapshotRegistry::get), falling back to *shape
@@ -769,7 +789,7 @@ impl SnapshotRegistry {
         let mut pooled_inputs = Vec::with_capacity(donors.len());
         for donor in &donors {
             match self.get(*donor) {
-                Ok(Some(snap)) => pooled_inputs.push((*snap).clone()),
+                Ok(Some(snap)) => pooled_inputs.push(snap),
                 Ok(None) => {}
                 Err(e) => {
                     eprintln!(
@@ -806,44 +826,19 @@ impl SnapshotRegistry {
         // publish-backs land on this entry. No spill seeding: the donor
         // files belong to the donors, and this entry's first spill must
         // write its own base.
-        let entry = Entry {
-            rtm: self.import(&merged),
-            stats: EntryStats {
+        let entry = Entry::new(
+            merged,
+            EntryStats {
                 misses: 1,
                 shape_hits: 1,
-                resident_traces: merged.len() as u64,
-                resident_hits: merged.total_hits(),
                 ..EntryStats::default()
             },
-            snap: Arc::new(merged),
-            image: None,
-            generation: 0,
-            spill: None,
-            last_touch: 0,
-        };
-        self.index.write().unwrap().add_shape(fingerprint, shape);
-        let mut shard = self.shard_of(fingerprint).lock().unwrap();
-        if let Some(existing) = shard.touch(fingerprint) {
-            // A racing fetch resolved this fingerprint first.
-            existing.stats.hits += 1;
-            return Ok(Some(Arc::clone(&existing.snap)));
-        }
-        shard.tick += 1;
-        let tick = shard.tick;
-        let snap = Arc::clone(&entry.snap);
-        shard.entries.insert(
-            fingerprint,
-            Entry {
-                last_touch: tick,
-                ..entry
-            },
+            None,
         );
-        let evicted = shard.enforce_bound(self.config.max_resident_per_shard);
-        drop(shard);
-        if evicted > 0 {
-            self.evicted.fetch_add(evicted, Ordering::Relaxed);
-        }
-        Ok(Some(snap))
+        let snap = Arc::clone(&entry.snap);
+        self.index.write().unwrap().add_shape(fingerprint, shape);
+        let raced = self.install(fingerprint, entry, Entry::hit);
+        Ok(Some(raced.unwrap_or(snap)))
     }
 
     /// The serialized snapshot file image for `fingerprint` — the exact
@@ -852,8 +847,8 @@ impl SnapshotRegistry {
     /// repeated fetches share one immutable buffer instead of
     /// re-serializing the resident state per call. The image is built
     /// at most once per resident state: publish/refresh merges
-    /// invalidate it (and bump the entry generation, so an image
-    /// serialized outside the lock is never cached over newer state).
+    /// invalidate it, and an image serialized outside the lock is cached
+    /// only if the entry still holds the very state it encoded.
     /// `Ok(None)` mirrors [`get`](SnapshotRegistry::get).
     pub fn get_image(&self, fingerprint: u64) -> Result<Option<Arc<[u8]>>, ServeError> {
         let mut counted = false;
@@ -870,12 +865,12 @@ impl SnapshotRegistry {
                             entry.stats.image_hits += 1;
                             return Ok(Some(Arc::clone(image)));
                         }
-                        Some((Arc::clone(&entry.snap), entry.generation))
+                        Some(Arc::clone(&entry.snap))
                     }
                     None => None,
                 }
             };
-            let Some((snap, generation)) = staged else {
+            let Some(snap) = staged else {
                 // Not resident: run the ordinary load-or-unknown path
                 // (which does its own hit/miss accounting), then retry
                 // the image build against the now-resident entry.
@@ -892,7 +887,9 @@ impl SnapshotRegistry {
             let image: Arc<[u8]> = bytes.into();
             let mut shard = self.shard_of(fingerprint).lock().unwrap();
             match shard.entries.get_mut(&fingerprint) {
-                Some(entry) if entry.generation == generation => {
+                // `snap` is still alive, so its address cannot belong to
+                // any other state: pointer identity is exact.
+                Some(entry) if Arc::ptr_eq(&entry.snap, &snap) => {
                     entry.image = Some(Arc::clone(&image));
                     entry.stats.image_builds += 1;
                     return Ok(Some(image));
@@ -1082,34 +1079,18 @@ impl SnapshotRegistry {
     }
 
     /// Merge `snapshot` into an already-locked resident `entry` under
-    /// the registry policy, refreshing its cached export and gauges.
+    /// the registry policy, replacing its state. A geometry mismatch is
+    /// the merge's own error and leaves the entry as it was.
     fn merge_into_entry(
         &self,
         entry: &mut Entry,
         snapshot: &RtmSnapshot,
     ) -> Result<(), ServeError> {
-        if entry.rtm.config() != snapshot.config {
-            return Err(tlr_core::MergeError::GeometryMismatch {
-                first: entry.rtm.config(),
-                other: snapshot.config,
-            }
-            .into());
-        }
         // The proper interleaved union, not a sequential replay: a
         // near-capacity publish must not wholesale-evict the pooled
         // hot state of every prior run. The configured policy
         // decides what survives contention.
-        //
-        // The resident RTM's export is shape-less (an RTM holds no
-        // program identity); restamp it from the entry's snapshot so a
-        // publish-back cannot silently demote the entry to value-pinned.
-        let mut resident = entry.rtm.export();
-        resident.shape = entry.snap.shape;
-        let merged = self.pool(&[resident, snapshot.clone()])?;
-        entry.rtm = self.import(&merged);
-        entry.stats.resident_traces = merged.len() as u64;
-        entry.stats.resident_hits = merged.total_hits();
-        entry.snap = Arc::new(merged);
+        entry.snap = Arc::new(self.pool(&[&*entry.snap, snapshot])?);
         entry.invalidate_image();
         entry.stats.refreshes += 1;
         Ok(())
@@ -1135,8 +1116,11 @@ impl SnapshotRegistry {
     /// Contribute a finished run's RTM export back to the registry:
     /// merged into the resident entry (creating one if the program is
     /// not resident), so the *next* fetch serves the pooled state of
-    /// every run so far. In-memory only — writing refreshed snapshots
-    /// back to the directory is a planned follow-up.
+    /// every run so far. A new entry is pooled from `snapshot` alone,
+    /// so what it serves is canonical even when the client's snapshot
+    /// is not (say, it repeats a record). Publishing changes resident
+    /// state only; [`spill`](SnapshotRegistry::spill) writes it to the
+    /// snapshot directory.
     pub fn publish(&self, fingerprint: u64, snapshot: &RtmSnapshot) -> Result<(), ServeError> {
         // Record the shape mapping first (index lock and shard lock are
         // never held together), so a later `get_by_shape` from a
@@ -1147,76 +1131,64 @@ impl SnapshotRegistry {
                 .unwrap()
                 .add_shape(fingerprint, snapshot.shape);
         }
-        let mut shard = self.shard_of(fingerprint).lock().unwrap();
-        if let Some(entry) = shard.touch(fingerprint) {
-            return self.merge_into_entry(entry, snapshot);
+        if self.merge_into_resident(fingerprint, snapshot)? {
+            return Ok(());
         }
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard.entries.insert(
-            fingerprint,
-            Entry {
-                rtm: self.import(snapshot),
-                snap: Arc::new(snapshot.clone()),
-                image: None,
-                generation: 0,
-                // No durable representation yet: the first spill writes
-                // a full base file.
-                spill: None,
-                stats: EntryStats {
-                    refreshes: 1,
-                    resident_traces: snapshot.len() as u64,
-                    resident_hits: snapshot.total_hits(),
-                    ..EntryStats::default()
-                },
-                last_touch: tick,
+        // No durable representation yet: the first spill writes a full
+        // base file.
+        let entry = Entry::new(
+            self.pool(&[snapshot])?,
+            EntryStats {
+                refreshes: 1,
+                ..EntryStats::default()
             },
+            None,
         );
-        let evicted = shard.enforce_bound(self.config.max_resident_per_shard);
-        drop(shard);
-        if evicted > 0 {
-            self.evicted.fetch_add(evicted, Ordering::Relaxed);
-        }
-        Ok(())
+        // A racing publish or fetch may have installed the program
+        // first; then this snapshot merges into that entry.
+        self.install(fingerprint, entry, |resident| {
+            self.merge_into_entry(resident, snapshot)
+        })
+        .unwrap_or(Ok(()))
     }
 
-    /// Behaviour counters for one resident program, `None` if it is not
-    /// (or no longer) resident.
+    /// Behaviour counters and residency gauges for one resident
+    /// program, `None` if it is not (or no longer) resident.
     pub fn entry_stats(&self, fingerprint: u64) -> Option<EntryStats> {
         let shard = self.shard_of(fingerprint).lock().unwrap();
-        shard.entries.get(&fingerprint).map(|e| e.stats)
+        shard.entries.get(&fingerprint).map(|e| EntryStats {
+            resident_traces: e.snap.len() as u64,
+            resident_hits: e.snap.total_hits(),
+            ..e.stats
+        })
     }
 
     /// Registry-wide aggregates. Counters of evicted entries are folded
     /// in, so hits/misses/refreshes are lifetime totals.
     pub fn stats(&self) -> RegistryStats {
-        let mut stats = RegistryStats {
-            evicted: self.evicted.load(Ordering::Relaxed),
-            unknown: self.unknown.load(Ordering::Relaxed),
-            shape_rejects: self.shape_rejects.load(Ordering::Relaxed),
-            ..RegistryStats::default()
-        };
+        let mut resident = 0;
+        let mut totals = EntryStats::default();
         for shard in &self.shards {
             let shard = shard.lock().unwrap();
-            stats.resident += shard.entries.len() as u64;
-            stats.hits += shard.retired.hits;
-            stats.misses += shard.retired.misses;
-            stats.refreshes += shard.retired.refreshes;
-            stats.image_hits += shard.retired.image_hits;
-            stats.image_builds += shard.retired.image_builds;
-            stats.image_invalidations += shard.retired.image_invalidations;
-            stats.shape_hits += shard.retired.shape_hits;
+            resident += shard.entries.len() as u64;
+            totals.add_counters(&shard.retired);
             for entry in shard.entries.values() {
-                stats.hits += entry.stats.hits;
-                stats.misses += entry.stats.misses;
-                stats.refreshes += entry.stats.refreshes;
-                stats.image_hits += entry.stats.image_hits;
-                stats.image_builds += entry.stats.image_builds;
-                stats.image_invalidations += entry.stats.image_invalidations;
-                stats.shape_hits += entry.stats.shape_hits;
+                totals.add_counters(&entry.stats);
             }
         }
-        stats
+        RegistryStats {
+            resident,
+            hits: totals.hits,
+            misses: totals.misses,
+            refreshes: totals.refreshes,
+            evicted: self.evicted.load(Ordering::Relaxed),
+            unknown: self.unknown.load(Ordering::Relaxed),
+            image_hits: totals.image_hits,
+            image_builds: totals.image_builds,
+            image_invalidations: totals.image_invalidations,
+            shape_hits: totals.shape_hits,
+            shape_rejects: self.shape_rejects.load(Ordering::Relaxed),
+        }
     }
 }
 

@@ -99,26 +99,7 @@ impl RemoteRegistry {
     /// [`SnapshotRegistry::get`](crate::SnapshotRegistry::get): `Ok(None)` when the daemon has
     /// nothing for the program and the caller runs cold.
     pub fn get(&self, fingerprint: u64) -> Result<Option<Arc<RtmSnapshot>>, ServeError> {
-        let reply = self
-            .session
-            .lock()
-            .unwrap()
-            .exchange(&Request::Get { fingerprint })?;
-        match reply {
-            Reply::Snapshot {
-                fingerprint: fp,
-                snapshot,
-            } => {
-                if fp != fingerprint {
-                    return Err(ProtoError::Corrupt(format!(
-                        "asked for fingerprint {fingerprint:#x}, server answered for {fp:#x}"
-                    ))
-                    .into());
-                }
-                Ok(snapshot.map(Arc::new))
-            }
-            other => Err(unexpected(&other, "Snapshot").into()),
-        }
+        self.fetch(fingerprint, &Request::Get { fingerprint })
     }
 
     /// The warm reuse state for `fingerprint`, falling back to shape
@@ -132,11 +113,17 @@ impl RemoteRegistry {
         fingerprint: u64,
         shape: u64,
     ) -> Result<Option<Arc<RtmSnapshot>>, ServeError> {
-        let reply = self
-            .session
-            .lock()
-            .unwrap()
-            .exchange(&Request::GetShape { fingerprint, shape })?;
+        self.fetch(fingerprint, &Request::GetShape { fingerprint, shape })
+    }
+
+    /// Send a snapshot `request` for `fingerprint` and check that the
+    /// `Snapshot` reply answers for that fingerprint.
+    fn fetch(
+        &self,
+        fingerprint: u64,
+        request: &Request,
+    ) -> Result<Option<Arc<RtmSnapshot>>, ServeError> {
+        let reply = self.session.lock().unwrap().exchange(request)?;
         match reply {
             Reply::Snapshot {
                 fingerprint: fp,

@@ -114,7 +114,7 @@ proptest! {
     /// whose victim ranking actively disfavours cold traces — a merge
     /// is deterministic, respects capacity, is a fixed point of
     /// same-policy import/export, and never drops a trace all inputs
-    /// kept.
+    /// kept; and an export or a merge pooled alone comes back unchanged.
     #[test]
     fn policy_merges_uphold_unanimity_and_capacity(
         a in warm_snapshot_strategy(),
@@ -131,6 +131,15 @@ proptest! {
             prop_assert!(merged.len() as u64 <= TINY.capacity());
             let canonical = ReuseTraceMemory::import_with(&merged, policy).export();
             prop_assert_eq!(&canonical, &merged, "{} merge not a fixed point", policy);
+            // Pooling an export or a merge alone gives it back, shape
+            // included: resident state can be pooled straight from.
+            for mut s in [a.clone(), b.clone(), merged.clone()] {
+                s.shape = 0x5eed;
+                let pooled = RtmSnapshot::merge_detailed(&[&s], policy, LFU_HALF_LIFE)
+                    .unwrap()
+                    .snapshot;
+                prop_assert_eq!(&pooled, &s, "{} pooling alone not a fixed point", policy);
+            }
             for trace in a.traces.iter() {
                 if b.traces.contains(trace) {
                     prop_assert!(

@@ -1,10 +1,12 @@
 //! `tlr-serve` integration: concurrent fetches from a snapshot
 //! directory, merged-warm acceptance (pooled reuse state beats either
 //! contributor alone without perturbing architectural state), and
-//! publish-back pooling.
+//! publish-back pooling, including a publish-born entry's canonical
+//! state.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use trace_reuse::core::TraceRecord;
 use trace_reuse::persist::{program_fingerprint, save_snapshot};
 use trace_reuse::prelude::*;
 use trace_reuse::serve::RegistryStats;
@@ -198,4 +200,39 @@ fn publish_back_pools_state_for_next_fetch() {
     assert_eq!(entry.refreshes, 1);
     assert_eq!(entry.misses, 1);
     assert_eq!(entry.hits, 1);
+}
+
+/// A publish-born entry is pooled once: a client snapshot that repeats
+/// a record is served as its canonical merge, and a later publish
+/// leaves the same state as for an entry loaded from a file holding
+/// that canonical snapshot.
+#[test]
+fn publish_born_entry_is_pooled_once() {
+    let rec = |pc: u32, v: u64| TraceRecord {
+        start_pc: pc,
+        next_pc: pc + 2,
+        len: 2,
+        ins: vec![(Loc::IntReg(1), v)].into_boxed_slice(),
+        outs: vec![(Loc::IntReg(2), v * 3)].into_boxed_slice(),
+        mix: Default::default(),
+    };
+    let config = RtmConfig::RTM_512;
+    let raw = RtmSnapshot::from_traces(config, vec![rec(8, 1), rec(8, 2), rec(8, 1)]);
+    let canonical = RtmSnapshot::merge(std::slice::from_ref(&raw)).unwrap();
+    assert_eq!(canonical.len(), raw.len() - 1);
+
+    let published =
+        SnapshotRegistry::open(&temp_dir("publish-born"), RegistryConfig::default()).unwrap();
+    published.publish(1, &raw).unwrap();
+    assert_eq!(*published.get(1).unwrap().unwrap(), canonical);
+
+    let dir = temp_dir("publish-born-loaded");
+    save_snapshot(&dir.join("p.tlrsnap"), 1, &canonical).unwrap();
+    let loaded = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    assert_eq!(*loaded.get(1).unwrap().unwrap(), canonical);
+
+    let update = RtmSnapshot::from_traces(config, vec![rec(8, 3), rec(40, 4)]);
+    published.publish(1, &update).unwrap();
+    loaded.publish(1, &update).unwrap();
+    assert_eq!(published.get(1).unwrap(), loaded.get(1).unwrap());
 }
