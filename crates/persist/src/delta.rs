@@ -28,8 +28,11 @@
 //! The compaction invariant: for any base `B` and deltas `D1..Dn` in
 //! sequence order, loading `B, D1..Dn` yields the same trace/provenance
 //! *set* as the full snapshot the last spill saw — so folding them into
-//! a fresh base (`tlrsim compact`, or the registry once
-//! `compact_threshold` deltas accumulate) never changes served state.
+//! a fresh base (the registry's `compact`, which `tlrsim compact` runs,
+//! or its spill once `compact_threshold` deltas accumulate) never
+//! changes served state. Because a delta replaces whole groups, any
+//! suffix `Dk..Dn` replayed over that fresh base changes nothing
+//! either, which is why the fold deletes deltas in ascending order.
 
 use crate::error::{PersistError, Result};
 use crate::format::{

@@ -41,7 +41,8 @@
 //!
 //! Format v5 turns the reserved header byte into flags:
 //! [`format::FLAG_COMPRESSED_FRAMES`] run-length compresses every trace
-//! frame ([`compress`]), and [`format::FLAG_DELTA_SEGMENT`] marks an
+//! frame ([`compress`]; [`save_snapshot_with`] and [`save_delta_segment`]
+//! take a `compress` flag, [`save_snapshot`] writes uncompressed), and [`format::FLAG_DELTA_SEGMENT`] marks an
 //! incremental **delta segment** so publish-back spills only changed PC
 //! groups next to a base file ([`delta`]); [`load_merged_snapshots`]
 //! replays base + deltas in sequence order.
@@ -98,8 +99,7 @@ pub use format::{
 pub use replay::{replay, MemorySource, RecordSource, ReplayStats};
 pub use snapshot::{
     commit_file, load_merged_snapshots, load_snapshot, load_snapshot_payload,
-    peek_snapshot_fingerprint, peek_snapshot_identity, save_snapshot, save_snapshot_with, sync_dir,
-    SnapshotPayload, SnapshotWriteOptions,
+    peek_snapshot_identity, save_snapshot, save_snapshot_with, sync_dir, SnapshotPayload,
 };
 pub use stream::{load_trace, save_trace, TraceFile, TraceReader, TraceWriter};
 pub use wire::{program_fingerprint, program_shape_fingerprint};

@@ -67,31 +67,26 @@ pub const SNAPSHOT_IO_CAPS: IoCaps = IoCaps {
     mem_out: 1024,
 };
 
-/// Encoding choices for [`save_snapshot_with`]. The default matches
-/// [`save_snapshot`]: an uncompressed full snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SnapshotWriteOptions {
-    /// Run-length compress every trace frame ([`FLAG_COMPRESSED_FRAMES`]).
-    /// Ignored by the JSON debug format.
-    pub compress: bool,
-}
-
-/// Save `snapshot` to `path`, choosing binary or JSON by extension.
+/// Save `snapshot` to `path`, choosing binary or JSON by extension
+/// (binary frames uncompressed).
 pub fn save_snapshot(path: &Path, fingerprint: u64, snapshot: &RtmSnapshot) -> Result<()> {
-    save_snapshot_with(path, fingerprint, snapshot, SnapshotWriteOptions::default())
+    save_snapshot_with(path, fingerprint, snapshot, false)
 }
 
-/// [`save_snapshot`] with explicit [`SnapshotWriteOptions`].
+/// [`save_snapshot`], run-length compressing every binary trace frame
+/// ([`FLAG_COMPRESSED_FRAMES`]) when `compress` is set, as
+/// [`crate::save_delta_segment`] does; the JSON debug format ignores
+/// `compress`. The registry writes every base file this way.
 pub fn save_snapshot_with(
     path: &Path,
     fingerprint: u64,
     snapshot: &RtmSnapshot,
-    options: SnapshotWriteOptions,
+    compress: bool,
 ) -> Result<()> {
     match FileFormat::detect(path) {
         FileFormat::Binary => {
             let mut out = BufWriter::new(File::create(path)?);
-            write_snapshot_with(&mut out, fingerprint, snapshot, options)?;
+            write_snapshot_with(&mut out, fingerprint, snapshot, compress)?;
             out.flush()?;
             Ok(())
         }
@@ -238,31 +233,6 @@ pub fn load_merged_snapshots(
     Ok((fingerprint, merged))
 }
 
-/// Read only a snapshot file's program fingerprint, without
-/// deserializing any traces. A registry indexing a directory of
-/// snapshots uses this to map fingerprint → path cheaply; binary files
-/// cost one 16-byte header read, JSON files one parse.
-pub fn peek_snapshot_fingerprint(path: &Path) -> Result<u64> {
-    match FileFormat::detect(path) {
-        FileFormat::Binary => {
-            let mut r = BufReader::new(File::open(path)?);
-            let header = Header::read_from(&mut r)?;
-            header.expect(KIND_RTM_SNAPSHOT, None)?;
-            Ok(header.fingerprint)
-        }
-        FileFormat::Json => {
-            let doc = json::parse(&std::fs::read_to_string(path)?)?;
-            let format = doc.field("format")?.as_str("format")?;
-            if format != JSON_SNAPSHOT_FORMAT {
-                return Err(PersistError::Corrupt(format!(
-                    "\"format\" is {format:?}, expected {JSON_SNAPSHOT_FORMAT:?}"
-                )));
-            }
-            doc.field("fingerprint")?.as_u64("fingerprint")
-        }
-    }
-}
-
 /// Read a snapshot file's program fingerprint *and* shape fingerprint
 /// without deserializing any traces. The shape is 0 (value-pinned) for
 /// pre-v6 files, delta segments, and JSON dumps without a `"shape"`
@@ -308,21 +278,18 @@ pub fn peek_snapshot_identity(path: &Path) -> Result<(u64, u64)> {
 
 /// Serialize a snapshot to any writer (binary format, uncompressed).
 pub fn write_snapshot(w: &mut impl Write, fingerprint: u64, snapshot: &RtmSnapshot) -> Result<()> {
-    write_snapshot_with(w, fingerprint, snapshot, SnapshotWriteOptions::default())
+    write_snapshot_with(w, fingerprint, snapshot, false)
 }
 
-/// [`write_snapshot`] with explicit [`SnapshotWriteOptions`].
+/// [`write_snapshot`], compressing every trace frame when `compress` is
+/// set (see [`save_snapshot_with`]).
 pub fn write_snapshot_with(
     w: &mut impl Write,
     fingerprint: u64,
     snapshot: &RtmSnapshot,
-    options: SnapshotWriteOptions,
+    compress: bool,
 ) -> Result<()> {
-    let flags = if options.compress {
-        FLAG_COMPRESSED_FRAMES
-    } else {
-        0
-    };
+    let flags = if compress { FLAG_COMPRESSED_FRAMES } else { 0 };
     Header::with_flags(KIND_RTM_SNAPSHOT, fingerprint, flags).write_to(w)?;
     let geometry = snapshot.config.geometry;
     let mut prelude = Vec::with_capacity(28);
@@ -346,7 +313,7 @@ pub fn write_snapshot_with(
         wire::put_trace_record(&mut scratch, trace)?;
         wire::put_trace_meta(&mut scratch, &meta);
         wire::put_class_mix(&mut scratch, trace.mix);
-        emit_frame(w, &scratch, options.compress, &mut checksum)?;
+        emit_frame(w, &scratch, compress, &mut checksum)?;
     }
     let mut trailer = Vec::with_capacity(20);
     wire::put_u32(&mut trailer, 0);
@@ -930,10 +897,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let bin = dir.join("peek.tlrsnap");
         save_snapshot(&bin, 0xfeed, &sample_snapshot()).unwrap();
-        assert_eq!(peek_snapshot_fingerprint(&bin).unwrap(), 0xfeed);
+        assert_eq!(peek_snapshot_identity(&bin).unwrap().0, 0xfeed);
         let jsn = dir.join("peek.json");
         save_snapshot(&jsn, 0xbeef, &sample_snapshot()).unwrap();
-        assert_eq!(peek_snapshot_fingerprint(&jsn).unwrap(), 0xbeef);
+        assert_eq!(peek_snapshot_identity(&jsn).unwrap().0, 0xbeef);
     }
 
     #[test]

@@ -45,8 +45,14 @@
 //! * **incremental spills** — [`SnapshotRegistry::spill`] persists a
 //!   resident entry as an append-only **delta segment** next to its
 //!   base file (only PC groups that changed since the last spill, plus
-//!   tombstones), compacting base + deltas into a fresh base once
+//!   tombstones, numbered after the highest delta the index holds),
+//!   then folds base + deltas into a fresh base once
 //!   [`RegistryConfig::compact_threshold`] deltas accumulate;
+//!   [`SnapshotRegistry::compact`] runs the same fold on demand (it is
+//!   all `tlrsim compact` does), and because a fold covers only state
+//!   already on disk, a crash at any point of it loads as the old state
+//!   or the new one. A publish for a program that is not resident loads
+//!   its files first, so it never hides or overwrites them;
 //! * **background refresh** — [`SnapshotRegistry::refresh`] rescans the
 //!   snapshot directory for files that appeared (or changed) after
 //!   `open`, indexing them and folding them into resident entries,

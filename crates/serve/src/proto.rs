@@ -396,10 +396,7 @@ pub fn encode_request(request: &Request) -> Result<Vec<u8>, ProtoError> {
         Request::Publish {
             fingerprint,
             snapshot,
-        } => {
-            wire::put_u8(&mut out, TAG_PUBLISH);
-            out.extend_from_slice(&snapshot_bytes(*fingerprint, snapshot)?);
-        }
+        } => return encode_publish(*fingerprint, snapshot),
         Request::Stats => wire::put_u8(&mut out, TAG_STATS),
         Request::Refresh => wire::put_u8(&mut out, TAG_REFRESH),
         Request::GetShape { fingerprint, shape } => {
@@ -408,6 +405,20 @@ pub fn encode_request(request: &Request) -> Result<Vec<u8>, ProtoError> {
             wire::put_u64(&mut out, *shape);
         }
     }
+    Ok(out)
+}
+
+/// Encode a [`Request::Publish`] payload directly from a borrowed
+/// snapshot, as [`encode_snapshot_reply`] does for replies: a client
+/// publishes its run's export without first deep-cloning it into an
+/// owned [`Request`].
+pub(crate) fn encode_publish(
+    fingerprint: u64,
+    snapshot: &RtmSnapshot,
+) -> Result<Vec<u8>, ProtoError> {
+    let mut out = Vec::new();
+    wire::put_u8(&mut out, TAG_PUBLISH);
+    out.extend_from_slice(&snapshot_bytes(fingerprint, snapshot)?);
     Ok(out)
 }
 
@@ -714,6 +725,23 @@ mod tests {
             let again = read_request(&mut buf.as_slice()).unwrap().unwrap();
             assert_eq!(again, request);
         }
+    }
+
+    #[test]
+    fn borrowed_publish_encoding_matches_owned_request() {
+        let snapshot = sample_snapshot();
+        let borrowed = encode_publish(7, &snapshot).unwrap();
+        let owned = encode_request(&Request::Publish {
+            fingerprint: 7,
+            snapshot: snapshot.clone(),
+        })
+        .unwrap();
+        assert_eq!(borrowed, owned);
+        // The wire bytes are the tag followed by the snapshot file image.
+        let mut image = Vec::new();
+        write_snapshot(&mut image, 7, &snapshot).unwrap();
+        assert_eq!(borrowed[0], TAG_PUBLISH);
+        assert_eq!(&borrowed[1..], &image[..]);
     }
 
     #[test]

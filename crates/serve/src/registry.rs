@@ -1,16 +1,20 @@
 //! The sharded snapshot registry.
 //!
 //! Concurrency model: the fingerprint → path index is built at
-//! [`SnapshotRegistry::open`] and extended only by
-//! [`SnapshotRegistry::refresh`], so it sits behind an `RwLock` that is
-//! almost always read-locked. Resident state lives in `N` shards, each
-//! a `Mutex` over its own map; a fingerprint is pinned to one shard by
-//! a remix of its bits, so fetches for different programs contend only
-//! when they land on the same shard (1/N of the time). Snapshot files
-//! are loaded and merged *outside* the shard lock — a slow disk never
-//! stalls other programs on the shard — with a double-check on insert
-//! so a racing loader's result is reused instead of clobbered. The
-//! index lock and a shard lock are never held at the same time.
+//! [`SnapshotRegistry::open`] and changed only by
+//! [`SnapshotRegistry::refresh`], [`SnapshotRegistry::spill`] and
+//! [`SnapshotRegistry::compact`], which run one at a time, so it sits
+//! behind an `RwLock` that is almost always read-locked; it is also the
+//! one record of a program's files, from which spills read their next
+//! delta number and delta count. Resident state lives in `N` shards,
+//! each a `Mutex` over its own map; a fingerprint is pinned to one
+//! shard by a remix of its bits, so fetches for different programs
+//! contend only when they land on the same shard (1/N of the time).
+//! Snapshot files are loaded and merged *outside* the shard lock — a
+//! slow disk never stalls other programs on the shard — with a
+//! double-check on insert so a racing loader's result is reused instead
+//! of clobbered. The index lock and a shard lock are never held at the
+//! same time.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -24,9 +28,8 @@ use tlr_persist::{
     base_file_name, commit_file, delta_file_name, delta_seq_from_path, diff_snapshots,
     group_digests, load_merged_snapshots, load_snapshot_payload, peek_snapshot_identity,
     save_delta_segment, save_snapshot_with, sync_dir, PersistError, SnapshotPayload,
-    SnapshotWriteOptions,
 };
-use tlr_util::{FxHashMap, FxHashSet};
+use tlr_util::FxHashMap;
 
 /// File extension the directory scan considers ([`SnapshotRegistry::open`]):
 /// binary RTM snapshots only; JSON debug dumps are ignored.
@@ -50,12 +53,13 @@ pub struct RegistryConfig {
     /// `policy` is [`ReplacementPolicy::Lfu`]; the other policies
     /// ignore it. Defaults to [`tlr_core::LFU_HALF_LIFE`].
     pub lfu_half_life: u64,
-    /// Delta segments a fingerprint may accumulate before
-    /// [`spill`](SnapshotRegistry::spill) folds base + deltas into a
-    /// fresh base file (LSM level-0 style).
+    /// Delta segments a fingerprint's files may hold before
+    /// [`spill`](SnapshotRegistry::spill), having written one more,
+    /// folds them all into a fresh base file (LSM level-0 style). The
+    /// count is read off the index, so deltas other processes spilled
+    /// and [`refresh`](SnapshotRegistry::refresh) indexed count too.
+    /// Every file the registry writes is run-length compressed.
     pub compact_threshold: usize,
-    /// Run-length compress spilled files (deltas and compacted bases).
-    pub compress_spills: bool,
 }
 
 impl Default for RegistryConfig {
@@ -66,7 +70,6 @@ impl Default for RegistryConfig {
             policy: ReplacementPolicy::Lru,
             lfu_half_life: tlr_core::LFU_HALF_LIFE,
             compact_threshold: 8,
-            compress_spills: true,
         }
     }
 }
@@ -150,11 +153,13 @@ pub struct RefreshOutcome {
     pub unchanged: u64,
 }
 
-/// How [`SnapshotRegistry::spill`] persisted an entry.
+/// How [`SnapshotRegistry::spill`] or [`SnapshotRegistry::compact`]
+/// persisted an entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpillKind {
-    /// The program is not resident, or nothing changed since the last
-    /// spill — no bytes written.
+    /// Nothing to write: the program is not resident (spill), nothing
+    /// changed since the last spill, or (compact) its files are already
+    /// a lone base or none at all.
     #[default]
     NoChange,
     /// A full base file was written (the entry had no durable state to
@@ -163,13 +168,15 @@ pub enum SpillKind {
     /// A delta segment holding only changed PC groups was appended next
     /// to the base.
     Delta,
-    /// Accumulated deltas crossed
-    /// [`RegistryConfig::compact_threshold`] and were folded into a
-    /// fresh base; the superseded files were deleted.
+    /// The program's files were folded into a fresh base and the
+    /// superseded files deleted: by a spill once its deltas reached
+    /// [`RegistryConfig::compact_threshold`], or by
+    /// [`SnapshotRegistry::compact`].
     Compacted,
 }
 
-/// What one [`SnapshotRegistry::spill`] call wrote.
+/// What one [`SnapshotRegistry::spill`] or
+/// [`SnapshotRegistry::compact`] call wrote.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpillOutcome {
     /// The kind of write performed.
@@ -236,21 +243,8 @@ impl From<tlr_core::MergeError> for ServeError {
     }
 }
 
-/// Durable-state bookkeeping for incremental spills: what of this
-/// entry is already on disk, and under which delta sequence the next
-/// spill continues.
-#[derive(Clone, Debug)]
-struct SpillState {
-    /// Per-PC-group digests of the state already durable on disk; the
-    /// next spill diffs the resident snapshot against these.
-    groups: BTreeMap<u32, u64>,
-    /// Sequence number the next delta segment will carry.
-    next_seq: u64,
-    /// Delta files this registry has spilled (or loaded) for the
-    /// fingerprint — when they reach the compaction threshold the next
-    /// spill folds everything into a fresh base.
-    delta_files: Vec<PathBuf>,
-}
+/// Per-PC-group digests of a state ([`group_digests`]).
+type GroupDigests = BTreeMap<u32, u64>;
 
 /// One resident program: its pooled reuse state, shared with engines,
 /// and behaviour counters.
@@ -263,9 +257,13 @@ struct Entry {
     /// [`SnapshotRegistry::get_image`] and dropped whenever `snap` is
     /// replaced.
     image: Option<Arc<[u8]>>,
-    /// `None` until the entry's state has a durable representation to
-    /// diff against (publish-born entries before their first spill).
-    spill: Option<SpillState>,
+    /// Per-PC-group digests of the state the program's files load to;
+    /// the next spill diffs `snap` against these. `None` until the
+    /// entry has a durable representation (publish-born and
+    /// shape-resolved entries before their first spill). Sequence
+    /// numbers and delta counts are not kept here: the index's paths
+    /// tell them.
+    durable: Option<GroupDigests>,
     /// Lifetime counters; the residency gauges are read off `snap`.
     stats: EntryStats,
     /// Fetch-recency stamp for the shard's LRU bound.
@@ -273,11 +271,11 @@ struct Entry {
 }
 
 impl Entry {
-    fn new(snap: RtmSnapshot, stats: EntryStats, spill: Option<SpillState>) -> Self {
+    fn new(snap: RtmSnapshot, stats: EntryStats, durable: Option<GroupDigests>) -> Self {
         Self {
             snap: Arc::new(snap),
             image: None,
-            spill,
+            durable,
             stats,
             last_touch: 0,
         }
@@ -358,7 +356,13 @@ fn file_stamp(path: &Path) -> Option<FileStamp> {
     Some((meta.modified().ok()?, meta.len()))
 }
 
-/// The fingerprint → snapshot-file index, extended by refresh passes.
+/// Bytes a just-written file holds (0 if it cannot be stat'ed).
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).map_or(0, |m| m.len())
+}
+
+/// The fingerprint → snapshot-file index, extended by refresh passes
+/// and spills, pruned by folds.
 #[derive(Default)]
 struct Index {
     /// fingerprint → snapshot files of that program, in deterministic
@@ -368,12 +372,11 @@ struct Index {
     /// snapshots carry that shape (v6+ files only). Shape 0
     /// (value-pinned) is never indexed.
     by_shape: FxHashMap<u64, Vec<u64>>,
-    /// Every path indexed so far, so a refresh scan can cheaply tell
-    /// new files from known ones.
-    files: FxHashSet<PathBuf>,
-    /// Last-seen (mtime, length) per indexed path, so refresh skips
-    /// files that have not changed since the previous scan.
-    stamps: FxHashMap<PathBuf, FileStamp>,
+    /// Every indexed path with its last-seen (mtime, length) stamp, so
+    /// a refresh scan tells new files (absent) from known ones and
+    /// skips those whose stamp is unchanged (`None`: no stamp, treated
+    /// as changed).
+    stamps: FxHashMap<PathBuf, Option<FileStamp>>,
 }
 
 impl Index {
@@ -387,12 +390,8 @@ impl Index {
             paths.push(path.clone());
             paths.sort();
         }
-        if let Some(stamp) = file_stamp(&path) {
-            self.stamps.insert(path.clone(), stamp);
-        } else {
-            self.stamps.remove(&path);
-        }
-        self.files.insert(path);
+        let stamp = file_stamp(&path);
+        self.stamps.insert(path, stamp);
         self.add_shape(fingerprint, shape);
     }
 
@@ -429,7 +428,6 @@ impl Index {
                 self.by_fingerprint.remove(&fingerprint);
             }
         }
-        self.files.remove(path);
         self.stamps.remove(path);
     }
 }
@@ -555,14 +553,12 @@ impl SnapshotRegistry {
             let mut new_paths = Vec::new();
             let mut changed_paths = Vec::new();
             for path in on_disk {
-                if !index.files.contains(&path) {
-                    new_paths.push(path);
-                } else if file_stamp(&path)
-                    .is_some_and(|fresh| index.stamps.get(&path) == Some(&fresh))
-                {
-                    outcome.unchanged += 1;
-                } else {
-                    changed_paths.push(path);
+                match index.stamps.get(&path) {
+                    None => new_paths.push(path),
+                    Some(Some(known)) if file_stamp(&path) == Some(*known) => {
+                        outcome.unchanged += 1;
+                    }
+                    Some(_) => changed_paths.push(path),
                 }
             }
             (new_paths, changed_paths)
@@ -709,48 +705,40 @@ impl SnapshotRegistry {
                 return Ok(Some(entry.hit()));
             }
         }
-        let paths = self.paths(fingerprint);
-        if paths.is_empty() {
+        let Some(loaded) = self.load(fingerprint)? else {
             self.unknown.fetch_add(1, Ordering::Relaxed);
             return Ok(None);
+        };
+        let snap = Arc::clone(&loaded.snap);
+        // A racing fetch may have resolved the miss first; then its
+        // entry serves.
+        let raced = self.install(fingerprint, loaded, Entry::hit);
+        Ok(Some(raced.unwrap_or(snap)))
+    }
+
+    /// Load and merge `fingerprint`'s snapshot files, outside every
+    /// lock and under the configured policy, into an entry counting one
+    /// miss; `None` when the program has no files. The loaded state
+    /// *is* the durable state, so its digests seed the entry's spills:
+    /// the first publish-back spills a delta against these files
+    /// instead of a full rewrite.
+    fn load(&self, fingerprint: u64) -> Result<Option<Entry>, ServeError> {
+        let paths = self.paths(fingerprint);
+        if paths.is_empty() {
+            return Ok(None);
         }
-        // Miss: load and merge outside the lock, under the configured
-        // policy.
         let (_, merged) = load_merged_snapshots(
             &paths,
             Some(fingerprint),
             self.config.policy,
             self.config.lfu_half_life,
         )?;
-        // The loaded state *is* the durable state: seed the spill
-        // bookkeeping from it so the first publish-back spills a delta
-        // against these files instead of a full rewrite.
-        let spill = SpillState {
-            groups: group_digests(&merged)?,
-            next_seq: paths
-                .iter()
-                .filter_map(|p| delta_seq_from_path(p))
-                .max()
-                .map_or(1, |s| s + 1),
-            delta_files: paths
-                .iter()
-                .filter(|p| delta_seq_from_path(p).is_some())
-                .cloned()
-                .collect(),
+        let durable = group_digests(&merged)?;
+        let stats = EntryStats {
+            misses: 1,
+            ..EntryStats::default()
         };
-        let loaded = Entry::new(
-            merged,
-            EntryStats {
-                misses: 1,
-                ..EntryStats::default()
-            },
-            Some(spill),
-        );
-        let snap = Arc::clone(&loaded.snap);
-        // A racing fetch may have resolved the miss first; then its
-        // entry serves.
-        let raced = self.install(fingerprint, loaded, Entry::hit);
-        Ok(Some(raced.unwrap_or(snap)))
+        Ok(Some(Entry::new(merged, stats, Some(durable))))
     }
 
     /// [`get`](SnapshotRegistry::get), falling back to *shape
@@ -908,134 +896,148 @@ impl SnapshotRegistry {
     /// file; later spills diff the resident state against the
     /// per-group digests of what is already durable and append a
     /// delta segment carrying only changed groups (plus tombstones
-    /// for emptied ones). Once
-    /// [`RegistryConfig::compact_threshold`] deltas accumulate, the
-    /// next spill folds everything into a fresh base and deletes the
-    /// superseded files (LSM level-0 style). An entry loaded from
-    /// disk seeds its digests from the loaded state, so its first
-    /// spill is already a delta. No-ops (with
-    /// [`SpillKind::NoChange`]) when the program is not resident or
-    /// nothing changed.
+    /// for emptied ones), numbered one past the highest delta the index
+    /// holds for the program. Once the program's deltas reach
+    /// [`RegistryConfig::compact_threshold`], the spill that wrote the
+    /// last one folds the files into a fresh base and deletes the
+    /// superseded ones, as [`compact`](SnapshotRegistry::compact) does
+    /// (LSM level-0 style). An entry loaded from disk seeds its
+    /// digests from the loaded state, so its first spill is already a
+    /// delta. No-ops (with [`SpillKind::NoChange`]) when the program is
+    /// not resident or nothing changed.
     ///
     /// Spills serialize against [`refresh`](SnapshotRegistry::refresh)
     /// passes, so a spilled file is always indexed and stamped before a
     /// scan can see it — the registry never re-absorbs its own spill.
     pub fn spill(&self, fingerprint: u64) -> Result<SpillOutcome, ServeError> {
         let _pass = self.refresh_serial.lock().unwrap();
-        let (snap, spill_state) = {
-            let mut shard = self.shard_of(fingerprint).lock().unwrap();
-            let Some(entry) = shard.entries.get_mut(&fingerprint) else {
-                return Ok(SpillOutcome::default());
-            };
-            (Arc::clone(&entry.snap), entry.spill.clone())
+        self.spill_serial(fingerprint)
+    }
+
+    /// Fold `fingerprint`'s snapshot files into one fresh base file
+    /// holding the program's pooled state — the resident entry's, else
+    /// what [`get`](SnapshotRegistry::get) loads — and delete every
+    /// other file of the program. A resident entry's unspilled changes
+    /// are spilled first, so the fold covers durable state only: the
+    /// new base equals the old base ⊕ its deltas group for group, and
+    /// for a base + delta layout a crash at any point loads as the old
+    /// state or the new one (other full files pool with the new base
+    /// until they are deleted).
+    /// `tlrsim compact` runs this for every program of a directory.
+    /// Returns [`SpillKind::NoChange`] when the program has no files or
+    /// only its base (and nothing unspilled).
+    pub fn compact(&self, fingerprint: u64) -> Result<SpillOutcome, ServeError> {
+        let _pass = self.refresh_serial.lock().unwrap();
+        let spilled = self.spill_serial(fingerprint)?;
+        let base = self.dir.join(base_file_name(fingerprint));
+        if self.paths(fingerprint).iter().all(|p| *p == base) {
+            return Ok(spilled);
+        }
+        let snap = match self.resident(fingerprint) {
+            Some((snap, _)) => snap,
+            None => match self.get(fingerprint)? {
+                Some(snap) => snap,
+                None => return Ok(spilled),
+            },
+        };
+        let folded = self.fold(fingerprint, &snap, SpillKind::Compacted)?;
+        Ok(SpillOutcome {
+            bytes_written: spilled.bytes_written + folded.bytes_written,
+            ..folded
+        })
+    }
+
+    /// `fingerprint`'s resident state and durable digests, without
+    /// counting a fetch.
+    fn resident(&self, fingerprint: u64) -> Option<(Arc<RtmSnapshot>, Option<GroupDigests>)> {
+        let shard = self.shard_of(fingerprint).lock().unwrap();
+        let entry = shard.entries.get(&fingerprint)?;
+        Some((Arc::clone(&entry.snap), entry.durable.clone()))
+    }
+
+    /// [`spill`](SnapshotRegistry::spill) with `refresh_serial` held,
+    /// which keeps the index's paths for the program current.
+    fn spill_serial(&self, fingerprint: u64) -> Result<SpillOutcome, ServeError> {
+        let Some((snap, durable)) = self.resident(fingerprint) else {
+            return Ok(SpillOutcome::default());
         };
         let groups = group_digests(&snap)?;
-        let options = SnapshotWriteOptions {
-            compress: self.config.compress_spills,
-        };
-        let Some(state) = spill_state else {
+        let Some(durable) = durable else {
             // First durable representation: a full base file.
-            let path = self.dir.join(base_file_name(fingerprint));
-            let bytes = self.write_base(&path, fingerprint, &snap, options)?;
-            {
-                let mut index = self.index.write().unwrap();
-                index.add(fingerprint, snap.shape, path.clone());
-            }
-            self.set_spill_state(
-                fingerprint,
-                SpillState {
-                    groups,
-                    next_seq: 1,
-                    delta_files: Vec::new(),
-                },
-            );
-            return Ok(SpillOutcome {
-                kind: SpillKind::Base,
-                bytes_written: bytes,
-                path: Some(path),
-                ..SpillOutcome::default()
-            });
+            let outcome = self.fold(fingerprint, &snap, SpillKind::Base)?;
+            self.set_durable(fingerprint, groups);
+            return Ok(outcome);
         };
-        let delta = diff_snapshots(&state.groups, &snap, state.next_seq)?;
+        let (deltas, last_seq) = self
+            .paths(fingerprint)
+            .iter()
+            .filter_map(|p| delta_seq_from_path(p))
+            .fold((0, 0), |(n, last), seq| (n + 1, last.max(seq)));
+        let delta = diff_snapshots(&durable, &snap, last_seq + 1)?;
         if delta.is_empty() {
             return Ok(SpillOutcome::default());
         }
-        if state.delta_files.len() + 1 >= self.config.compact_threshold.max(1) {
-            return self.compact_resident(fingerprint, &snap, groups, options);
-        }
-        let path = self.dir.join(delta_file_name(fingerprint, state.next_seq));
-        let delta_groups = delta
-            .traces
-            .iter()
-            .map(|t| t.start_pc)
-            .collect::<std::collections::BTreeSet<u32>>()
-            .len() as u64;
-        let tombstones = delta.tombstones.len() as u64;
+        let path = self.dir.join(delta_file_name(fingerprint, delta.seq));
         let tmp = path.with_extension("tmp");
-        save_delta_segment(&tmp, fingerprint, &delta, options.compress)?;
+        save_delta_segment(&tmp, fingerprint, &delta, true)?;
         commit_file(&tmp, &path)?;
-        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        {
-            let mut index = self.index.write().unwrap();
-            // Delta segments carry no shape; the fingerprint's shape
-            // mapping (if any) was recorded when its base was indexed.
-            index.add(fingerprint, 0, path.clone());
+        // Delta segments carry no shape; the fingerprint's shape mapping
+        // (if any) was recorded when its base was indexed.
+        self.index
+            .write()
+            .unwrap()
+            .add(fingerprint, 0, path.clone());
+        self.set_durable(fingerprint, groups);
+        let bytes = file_len(&path);
+        if deltas + 1 >= self.config.compact_threshold.max(1) {
+            let folded = self.fold(fingerprint, &snap, SpillKind::Compacted)?;
+            return Ok(SpillOutcome {
+                bytes_written: bytes + folded.bytes_written,
+                ..folded
+            });
         }
-        let mut delta_files = state.delta_files;
-        delta_files.push(path.clone());
-        self.set_spill_state(
-            fingerprint,
-            SpillState {
-                groups,
-                next_seq: state.next_seq + 1,
-                delta_files,
-            },
-        );
         Ok(SpillOutcome {
             kind: SpillKind::Delta,
             bytes_written: bytes,
-            delta_groups,
-            tombstones,
+            delta_groups: delta
+                .traces
+                .iter()
+                .map(|t| t.start_pc)
+                .collect::<std::collections::BTreeSet<u32>>()
+                .len() as u64,
+            tombstones: delta.tombstones.len() as u64,
             path: Some(path),
             ..SpillOutcome::default()
         })
     }
 
-    /// Write a full base file via a temp-and-rename so a concurrent
-    /// reader never sees a half-written snapshot. Returns bytes
-    /// written.
-    fn write_base(
-        &self,
-        path: &Path,
-        fingerprint: u64,
-        snap: &RtmSnapshot,
-        options: SnapshotWriteOptions,
-    ) -> Result<u64, ServeError> {
-        let tmp = path.with_extension("tmp");
-        save_snapshot_with(&tmp, fingerprint, snap, options)?;
-        commit_file(&tmp, path)?;
-        Ok(std::fs::metadata(path).map(|m| m.len()).unwrap_or(0))
-    }
-
-    /// Fold the resident state into a fresh base file and delete every
-    /// superseded file for `fingerprint`. Caller holds `refresh_serial`.
-    fn compact_resident(
+    /// The one writer of base files: commit `snap` as `fingerprint`'s
+    /// base through a temp file (a concurrent reader never sees a
+    /// half-written snapshot), then unindex and delete every other file
+    /// of the program and sync the directory. Caller holds
+    /// `refresh_serial`.
+    fn fold(
         &self,
         fingerprint: u64,
         snap: &RtmSnapshot,
-        groups: BTreeMap<u32, u64>,
-        options: SnapshotWriteOptions,
+        kind: SpillKind,
     ) -> Result<SpillOutcome, ServeError> {
         let base = self.dir.join(base_file_name(fingerprint));
-        let old_paths: Vec<PathBuf> = self
+        let tmp = base.with_extension("tmp");
+        save_snapshot_with(&tmp, fingerprint, snap, true)?;
+        commit_file(&tmp, &base)?;
+        let mut superseded: Vec<PathBuf> = self
             .paths(fingerprint)
             .into_iter()
             .filter(|p| *p != base)
             .collect();
-        let bytes = self.write_base(&base, fingerprint, snap, options)?;
+        // Full files first, then deltas in ascending sequence: a crash
+        // mid-way leaves the new base plus a suffix of its deltas, which
+        // replays over it as a no-op.
+        superseded.sort_by_key(|p| delta_seq_from_path(p));
         {
             let mut index = self.index.write().unwrap();
-            for path in &old_paths {
+            for path in &superseded {
                 index.forget(fingerprint, path);
             }
             index.add(fingerprint, snap.shape, base.clone());
@@ -1043,7 +1045,7 @@ impl SnapshotRegistry {
         // Unindexed first, deleted second: a racing fetch can no longer
         // pick up a path that is about to vanish.
         let mut removed = 0;
-        for path in &old_paths {
+        for path in &superseded {
             if std::fs::remove_file(path).is_ok() {
                 removed += 1;
             }
@@ -1051,30 +1053,23 @@ impl SnapshotRegistry {
         // A deleted delta that came back after a crash would replay its
         // stale groups over the new base.
         sync_dir(&self.dir)?;
-        self.set_spill_state(
-            fingerprint,
-            SpillState {
-                groups,
-                next_seq: 1,
-                delta_files: Vec::new(),
-            },
-        );
         Ok(SpillOutcome {
-            kind: SpillKind::Compacted,
-            bytes_written: bytes,
+            kind,
+            bytes_written: file_len(&base),
             removed_files: removed,
             path: Some(base),
             ..SpillOutcome::default()
         })
     }
 
-    /// Replace the spill bookkeeping for `fingerprint`, if it is still
-    /// resident (a concurrent eviction simply drops the state — the
-    /// next load reseeds it from disk, which now includes the spill).
-    fn set_spill_state(&self, fingerprint: u64, state: SpillState) {
+    /// Record that `fingerprint`'s files now load to the state with
+    /// these digests, if it is still resident (a concurrent eviction
+    /// simply drops them — the next load reseeds them from disk, which
+    /// now includes the spill).
+    fn set_durable(&self, fingerprint: u64, groups: GroupDigests) {
         let mut shard = self.shard_of(fingerprint).lock().unwrap();
         if let Some(entry) = shard.entries.get_mut(&fingerprint) {
-            entry.spill = Some(state);
+            entry.durable = Some(groups);
         }
     }
 
@@ -1114,13 +1109,16 @@ impl SnapshotRegistry {
     }
 
     /// Contribute a finished run's RTM export back to the registry:
-    /// merged into the resident entry (creating one if the program is
-    /// not resident), so the *next* fetch serves the pooled state of
-    /// every run so far. A new entry is pooled from `snapshot` alone,
-    /// so what it serves is canonical even when the client's snapshot
-    /// is not (say, it repeats a record). Publishing changes resident
-    /// state only; [`spill`](SnapshotRegistry::spill) writes it to the
-    /// snapshot directory.
+    /// merged into the resident entry, so the *next* fetch serves the
+    /// pooled state of every run so far. A program that is not resident
+    /// but has snapshot files is loaded first (one miss, as
+    /// [`get`](SnapshotRegistry::get) would), so the publish adds to its
+    /// durable state instead of hiding it; a program with no files gets
+    /// a new entry pooled from `snapshot` alone, so what it serves is
+    /// canonical even when the client's snapshot is not (say, it repeats
+    /// a record). Publishing changes resident state only;
+    /// [`spill`](SnapshotRegistry::spill) writes it to the snapshot
+    /// directory.
     pub fn publish(&self, fingerprint: u64, snapshot: &RtmSnapshot) -> Result<(), ServeError> {
         // Record the shape mapping first (index lock and shard lock are
         // never held together), so a later `get_by_shape` from a
@@ -1134,16 +1132,22 @@ impl SnapshotRegistry {
         if self.merge_into_resident(fingerprint, snapshot)? {
             return Ok(());
         }
-        // No durable representation yet: the first spill writes a full
-        // base file.
-        let entry = Entry::new(
-            self.pool(&[snapshot])?,
-            EntryStats {
-                refreshes: 1,
-                ..EntryStats::default()
-            },
-            None,
-        );
+        let entry = match self.load(fingerprint)? {
+            Some(mut loaded) => {
+                self.merge_into_entry(&mut loaded, snapshot)?;
+                loaded
+            }
+            // No durable representation yet: the first spill writes a
+            // full base file.
+            None => Entry::new(
+                self.pool(&[snapshot])?,
+                EntryStats {
+                    refreshes: 1,
+                    ..EntryStats::default()
+                },
+                None,
+            ),
+        };
         // A racing publish or fetch may have installed the program
         // first; then this snapshot merges into that entry.
         self.install(fingerprint, entry, |resident| {
@@ -1602,12 +1606,13 @@ mod tests {
         registry.publish(11, &snapshot_of(&[rec(72, 3)])).unwrap();
         assert_eq!(registry.spill(11).unwrap().kind, SpillKind::Delta);
 
-        // Third change crosses compact_threshold = 3: everything folds
-        // into a fresh base and the deltas are deleted.
+        // The third delta reaches compact_threshold = 3: the spill
+        // writes it, then folds everything into a fresh base and deletes
+        // all three deltas.
         registry.publish(11, &snapshot_of(&[rec(104, 4)])).unwrap();
         let outcome = registry.spill(11).unwrap();
         assert_eq!(outcome.kind, SpillKind::Compacted);
-        assert_eq!(outcome.removed_files, 2);
+        assert_eq!(outcome.removed_files, 3);
         assert!(!delta_path.exists(), "compaction left a delta behind");
         assert_eq!(registry.paths(11), vec![dir.join(base_file_name(11))]);
 

@@ -35,7 +35,12 @@ struct Session {
 
 impl Session {
     fn exchange(&mut self, request: &Request) -> Result<Reply, ProtoError> {
-        proto::write_request(&mut self.writer, request)?;
+        self.exchange_payload(&proto::encode_request(request)?)
+    }
+
+    /// Send one already-encoded request payload and read the reply.
+    fn exchange_payload(&mut self, payload: &[u8]) -> Result<Reply, ProtoError> {
+        proto::write_frame(&mut self.writer, payload)?;
         match proto::read_reply(&mut self.reader)? {
             Some(Reply::Error { code, message }) => Err(ProtoError::Remote { code, message }),
             Some(reply) => Ok(reply),
@@ -144,10 +149,8 @@ impl RemoteRegistry {
     /// Contribute a finished run's RTM export, as
     /// [`SnapshotRegistry::publish`](crate::SnapshotRegistry::publish).
     pub fn publish(&self, fingerprint: u64, snapshot: &RtmSnapshot) -> Result<(), ServeError> {
-        let reply = self.session.lock().unwrap().exchange(&Request::Publish {
-            fingerprint,
-            snapshot: snapshot.clone(),
-        })?;
+        let payload = proto::encode_publish(fingerprint, snapshot)?;
+        let reply = self.session.lock().unwrap().exchange_payload(&payload)?;
         match reply {
             Reply::PublishOk => Ok(()),
             other => Err(unexpected(&other, "PublishOk").into()),

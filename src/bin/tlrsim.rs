@@ -14,7 +14,7 @@
 //! tlrsim snapshot FILE --out SNAP  [--budget N] [--rtm SIZE] [--heuristic H]
 //!                      [--policy P]
 //! tlrsim merge SNAP SNAP [SNAP...] --out SNAP [--policy P]
-//! tlrsim compact DIR   [--policy P] [--keep-deltas]
+//! tlrsim compact DIR   [--policy P]
 //! tlrsim golden        [--regen] [--out DIR]
 //! tlrsim serve --snapshots DIR [--budget N] [--rtm SIZE] [--heuristic H]
 //!                              [--policy P] [--threads N] [--seed N] [--save]
@@ -51,11 +51,12 @@
 //! divergence, `snapshot` runs the reuse engine and saves its RTM for
 //! later warm starts, `merge` pools several runs' snapshots of one
 //! program into a single snapshot (MRU-priority union; list the
-//! freshest run last), `compact` folds each program's base + delta
-//! segments in a snapshot directory into one fresh base file
-//! (`--keep-deltas` renames the originals to `*.bak` instead of
-//! deleting them), `golden` maintains the golden-trace regression
-//! corpus in `tests/golden/` — with `--regen` it re-records every
+//! freshest run last), `compact` runs the registry's fold
+//! (`SnapshotRegistry::compact`) for every program in a snapshot
+//! directory, leaving each one fresh, compressed base file in place of
+//! its base, delta segments and other full snapshots, `golden`
+//! maintains the golden-trace regression corpus in `tests/golden/` —
+//! with `--regen` it re-records every
 //! built-in workload (trace file + expected digests in a manifest,
 //! under pinned budget/seed/engine parameters so the corpus is
 //! canonical); without it, it regenerates into a scratch directory and
@@ -76,7 +77,7 @@
 
 use std::path::Path;
 use trace_reuse::persist::{
-    load_snapshot, load_trace, peek_snapshot_fingerprint, program_fingerprint,
+    load_snapshot, load_trace, peek_snapshot_identity, program_fingerprint,
     program_shape_fingerprint, replay, save_snapshot, save_trace, FileFormat, MemorySource,
     TraceReader, TraceWriter,
 };
@@ -96,7 +97,7 @@ fn usage() -> ! {
          tlrsim snapshot FILE --out SNAP [--budget N] [--rtm ...] [--heuristic ...] \
          [--policy ...]\n  \
          tlrsim merge SNAP SNAP [SNAP...] --out SNAP [--policy ...]\n  \
-         tlrsim compact DIR  [--policy ...] [--keep-deltas]\n  \
+         tlrsim compact DIR  [--policy ...]\n  \
          tlrsim golden       [--regen] [--out DIR]\n  \
          tlrsim serve --snapshots DIR [--budget N] [--rtm ...] [--heuristic ...] \
          [--policy ...] [--threads N] [--seed N] [--save] [--listen SOCK] \
@@ -188,7 +189,6 @@ struct Flags {
     threads: usize,
     seed: u64,
     save: bool,
-    keep_deltas: bool,
     regen: bool,
     listen: Option<String>,
     remote: Option<String>,
@@ -213,7 +213,6 @@ fn parse_flags(args: &[String]) -> Flags {
         threads: 0,
         seed: 20260611,
         save: false,
-        keep_deltas: false,
         regen: false,
         listen: None,
         remote: None,
@@ -309,10 +308,6 @@ fn parse_flags(args: &[String]) -> Flags {
             }
             "--save" => {
                 flags.save = true;
-                i += 1;
-            }
-            "--keep-deltas" => {
-                flags.keep_deltas = true;
                 i += 1;
             }
             "--regen" => {
@@ -596,7 +591,7 @@ fn cmd_merge(inputs: &[String], flags: &Flags) {
     // The first file pins the program fingerprint; every later file
     // must agree — pooling reuse state across *different* programs is
     // never valid.
-    let fingerprint = peek_snapshot_fingerprint(Path::new(&inputs[0]))
+    let (fingerprint, _) = peek_snapshot_identity(Path::new(&inputs[0]))
         .unwrap_or_else(|e| fail(&format!("{}: {e}", inputs[0])));
     let snapshots: Vec<RtmSnapshot> = inputs
         .iter()
@@ -632,94 +627,45 @@ fn cmd_merge(inputs: &[String], flags: &Flags) {
 }
 
 fn cmd_compact(dir: &str, flags: &Flags) {
-    use std::collections::BTreeMap;
-    use std::path::PathBuf;
-    use trace_reuse::persist::{base_file_name, commit_file, load_merged_snapshots, sync_dir};
+    use trace_reuse::serve::SpillKind;
 
-    let dir_path = Path::new(dir);
-    let entries = std::fs::read_dir(dir_path)
-        .unwrap_or_else(|e| fail(&format!("cannot read snapshot directory {dir}: {e}")));
-    let mut files: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        let entry = entry.unwrap_or_else(|e| fail(&format!("{dir}: {e}")));
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("tlrsnap") && path.is_file() {
-            files.push(path);
-        }
-    }
-    if files.is_empty() {
+    let registry = SnapshotRegistry::open(
+        Path::new(dir),
+        RegistryConfig {
+            policy: flags.policy,
+            lfu_half_life: flags.lfu_half_life,
+            ..RegistryConfig::default()
+        },
+    )
+    .unwrap_or_else(|e| fail(&format!("{dir}: {e}")));
+    let fingerprints = registry.fingerprints();
+    if fingerprints.is_empty() {
         fail(&format!("no snapshot files (*.tlrsnap) in {dir}"));
     }
-    // Deterministic order: lexicographic sorts a program's base file
-    // before its delta segments, and the loader replays deltas by
-    // embedded sequence number regardless of file order.
-    files.sort();
-    let mut groups: BTreeMap<u64, Vec<PathBuf>> = BTreeMap::new();
-    for path in files {
-        let fingerprint = peek_snapshot_fingerprint(&path)
-            .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-        groups.entry(fingerprint).or_default().push(path);
-    }
     let mut compacted = 0usize;
-    for (fingerprint, paths) in &groups {
-        let base = dir_path.join(base_file_name(*fingerprint));
-        if paths.len() == 1 && paths[0] == base {
+    for &fingerprint in &fingerprints {
+        let files = registry.paths(fingerprint).len();
+        let outcome = registry
+            .compact(fingerprint)
+            .unwrap_or_else(|e| fail(&format!("{fingerprint:016x}: {e}")));
+        let (SpillKind::Compacted, Some(base)) = (outcome.kind, outcome.path) else {
             println!("{fingerprint:016x}: already a lone base file, nothing to fold");
             continue;
-        }
-        let (_, snapshot) =
-            load_merged_snapshots(paths, Some(*fingerprint), flags.policy, flags.lfu_half_life)
-                .unwrap_or_else(|e| fail(&format!("{fingerprint:016x}: {e}")));
-        // Write the fresh base next to the inputs, then commit it into
-        // place, so a crash mid-compaction never leaves a half-written
-        // base where loaders can see it.
-        let tmp = base.with_extension("tmp");
-        save_snapshot(&tmp, *fingerprint, &snapshot)
-            .unwrap_or_else(|e| fail(&format!("{}: {e}", tmp.display())));
-        if flags.keep_deltas {
-            for path in paths {
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                    fail(&format!(
-                        "{}: snapshot file name is not UTF-8",
-                        path.display()
-                    ));
-                };
-                let bak = path.with_file_name(format!("{name}.bak"));
-                std::fs::rename(path, &bak)
-                    .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-            }
-        }
-        // The directory sync inside the commit also makes the `.bak`
-        // renames durable.
-        commit_file(&tmp, &base).unwrap_or_else(|e| fail(&format!("{}: {e}", base.display())));
-        if !flags.keep_deltas {
-            for path in paths {
-                if *path != base {
-                    std::fs::remove_file(path)
-                        .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-                }
-            }
-            // A deleted delta that came back after a crash would replay
-            // its stale groups over the new base.
-            sync_dir(dir_path).unwrap_or_else(|e| fail(&format!("{dir}: {e}")));
-        }
+        };
+        let traces = registry
+            .get(fingerprint)
+            .unwrap_or_else(|e| fail(&format!("{fingerprint:016x}: {e}")))
+            .map_or(0, |snap| snap.len());
         println!(
-            "{fingerprint:016x}: folded {} files ({} traces) into {} [{} pooling]{}",
-            paths.len(),
-            snapshot.len(),
+            "{fingerprint:016x}: folded {files} files ({traces} traces) into {} [{} pooling]",
             base.display(),
-            flags.policy.label(),
-            if flags.keep_deltas {
-                "; originals kept as *.bak"
-            } else {
-                ""
-            }
+            flags.policy.label()
         );
         compacted += 1;
     }
     println!(
         "compacted {compacted} of {} programs in {dir}",
-        groups.len()
+        fingerprints.len()
     );
 }
 

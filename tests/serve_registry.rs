@@ -1,21 +1,76 @@
 //! `tlr-serve` integration: concurrent fetches from a snapshot
 //! directory, merged-warm acceptance (pooled reuse state beats either
-//! contributor alone without perturbing architectural state), and
+//! contributor alone without perturbing architectural state),
 //! publish-back pooling, including a publish-born entry's canonical
-//! state.
+//! state and a publish that finds only files, and the durable-state
+//! path: spill sequence numbers read from the index, and compaction
+//! that loads as the old state or the new one at every crash point.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use trace_reuse::core::TraceRecord;
-use trace_reuse::persist::{program_fingerprint, save_snapshot};
+use trace_reuse::persist::{
+    base_file_name, delta_file_name, group_digests, program_fingerprint, save_snapshot,
+};
 use trace_reuse::prelude::*;
-use trace_reuse::serve::RegistryStats;
+use trace_reuse::serve::{RegistryStats, SpillKind};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("tlr-serve-test").join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
+}
+
+/// A two-instruction trace at `pc` whose live-in r1 holds `v`.
+fn rec(pc: u32, v: u64) -> TraceRecord {
+    TraceRecord {
+        start_pc: pc,
+        next_pc: pc + 2,
+        len: 2,
+        ins: vec![(Loc::IntReg(1), v)].into_boxed_slice(),
+        outs: vec![(Loc::IntReg(2), v * 3)].into_boxed_slice(),
+        mix: Default::default(),
+    }
+}
+
+/// A raw client snapshot of `(pc, v)` traces; registries pool it.
+fn snap(traces: &[(u32, u64)]) -> RtmSnapshot {
+    RtmSnapshot::from_traces(
+        RtmConfig::RTM_512,
+        traces.iter().map(|&(pc, v)| rec(pc, v)).collect(),
+    )
+}
+
+/// What a cold registry over `dir` loads for `fingerprint`, as
+/// per-PC-group digests.
+fn cold_groups(dir: &Path, fingerprint: u64) -> BTreeMap<u32, u64> {
+    let registry = SnapshotRegistry::open(dir, RegistryConfig::default()).unwrap();
+    group_digests(&registry.get(fingerprint).unwrap().expect("files on disk")).unwrap()
+}
+
+/// The `*.tlrsnap` files in `dir`, sorted.
+fn snapshot_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "tlrsnap"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Spill program `fingerprint` as a base holding pc 8 and 16 followed
+/// by a delta holding pc 24, from a registry that is then dropped.
+fn spill_base_and_delta(dir: &Path, fingerprint: u64) {
+    let registry = SnapshotRegistry::open(dir, RegistryConfig::default()).unwrap();
+    registry
+        .publish(fingerprint, &snap(&[(8, 1), (16, 2)]))
+        .unwrap();
+    assert_eq!(registry.spill(fingerprint).unwrap().kind, SpillKind::Base);
+    registry.publish(fingerprint, &snap(&[(24, 3)])).unwrap();
+    assert_eq!(registry.spill(fingerprint).unwrap().kind, SpillKind::Delta);
 }
 
 fn cold_snapshot(
@@ -208,14 +263,6 @@ fn publish_back_pools_state_for_next_fetch() {
 /// that canonical snapshot.
 #[test]
 fn publish_born_entry_is_pooled_once() {
-    let rec = |pc: u32, v: u64| TraceRecord {
-        start_pc: pc,
-        next_pc: pc + 2,
-        len: 2,
-        ins: vec![(Loc::IntReg(1), v)].into_boxed_slice(),
-        outs: vec![(Loc::IntReg(2), v * 3)].into_boxed_slice(),
-        mix: Default::default(),
-    };
     let config = RtmConfig::RTM_512;
     let raw = RtmSnapshot::from_traces(config, vec![rec(8, 1), rec(8, 2), rec(8, 1)]);
     let canonical = RtmSnapshot::merge(std::slice::from_ref(&raw)).unwrap();
@@ -235,4 +282,190 @@ fn publish_born_entry_is_pooled_once() {
     published.publish(1, &update).unwrap();
     loaded.publish(1, &update).unwrap();
     assert_eq!(published.get(1).unwrap(), loaded.get(1).unwrap());
+}
+
+/// A publish for a program that is not resident but has files pools
+/// those files first (one miss), so it neither hides the durable state
+/// from fetches nor makes the next spill write a base over it — also
+/// when the program was evicted by the LRU bound. A program with no
+/// files still gets a publish-born entry, and no unknown fetch.
+#[test]
+fn publish_to_non_resident_program_pools_its_files() {
+    for evicted in [false, true] {
+        let dir = temp_dir(&format!("publish-non-resident-{evicted}"));
+        spill_base_and_delta(&dir, 1);
+        let registry = if evicted {
+            save_snapshot(&dir.join("other.tlrsnap"), 2, &snap(&[(8, 9)])).unwrap();
+            let config = RegistryConfig {
+                shards: 1,
+                max_resident_per_shard: 1,
+                ..RegistryConfig::default()
+            };
+            let registry = SnapshotRegistry::open(&dir, config).unwrap();
+            registry.get(1).unwrap().unwrap();
+            registry.get(2).unwrap().unwrap();
+            assert!(registry.entry_stats(1).is_none(), "program 1 not evicted");
+            registry
+        } else {
+            SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap()
+        };
+        let misses = registry.stats().misses;
+
+        registry.publish(1, &snap(&[(40, 4)])).unwrap();
+        assert_eq!(registry.get(1).unwrap().unwrap().len(), 4, "{evicted}");
+        let entry = registry.entry_stats(1).unwrap();
+        assert_eq!((entry.refreshes, entry.hits), (1, 1), "{evicted}");
+        assert_eq!(registry.stats().misses, misses + 1, "{evicted}");
+
+        // The first spill is a delta next to the files, not a base
+        // written over them.
+        let outcome = registry.spill(1).unwrap();
+        assert_eq!(outcome.kind, SpillKind::Delta, "{evicted}");
+        assert_eq!(outcome.path, Some(dir.join(delta_file_name(1, 2))));
+        let cold = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+        assert_eq!(cold.get(1).unwrap().unwrap().len(), 4, "{evicted}");
+
+        registry.publish(99, &snap(&[(8, 1)])).unwrap();
+        let born = registry.entry_stats(99).unwrap();
+        assert_eq!((born.misses, born.refreshes), (0, 1), "{evicted}");
+        assert_eq!(registry.stats().unknown, 0, "{evicted}");
+    }
+}
+
+/// Compaction folds durable state only, and superseded files go in
+/// ascending sequence order: with the new base put in, the old base
+/// and deltas' directory loads as the same state after every prefix of
+/// the unlinks a crash could cut. A spill that reaches
+/// `compact_threshold` writes its delta first and then runs the same
+/// fold, so it deletes that delta too and commits the same base.
+#[test]
+fn compaction_crash_points_load_old_or_new_state() {
+    // Base pc 8 {1, 2}; delta 1 adds pc 40; delta 2 grows pc 8.
+    let spill_three = |dir: &Path, compact_threshold: usize| {
+        let config = RegistryConfig {
+            compact_threshold,
+            ..RegistryConfig::default()
+        };
+        let registry = SnapshotRegistry::open(dir, config).unwrap();
+        let mut kinds = Vec::new();
+        for published in [snap(&[(8, 1), (8, 2)]), snap(&[(40, 4)]), snap(&[(8, 3)])] {
+            registry.publish(5, &published).unwrap();
+            kinds.push(registry.spill(5).unwrap());
+        }
+        (registry, kinds)
+    };
+    let dir = temp_dir("compact-crash");
+    let (registry, spills) = spill_three(&dir, 8);
+    let kinds: Vec<SpillKind> = spills.iter().map(|o| o.kind).collect();
+    assert_eq!(kinds, [SpillKind::Base, SpillKind::Delta, SpillKind::Delta]);
+    let resident = group_digests(&registry.get(5).unwrap().unwrap()).unwrap();
+    assert_eq!(cold_groups(&dir, 5), resident);
+
+    let crash = temp_dir("compact-crash-copy");
+    for file in snapshot_files(&dir) {
+        std::fs::copy(&file, crash.join(file.file_name().unwrap())).unwrap();
+    }
+    let outcome = registry.compact(5).unwrap();
+    assert_eq!(outcome.kind, SpillKind::Compacted);
+    assert_eq!(outcome.removed_files, 2);
+    let base = dir.join(base_file_name(5));
+    assert_eq!(snapshot_files(&dir), vec![base.clone()]);
+    assert_eq!(cold_groups(&dir, 5), resident);
+
+    // Crash after the new base is committed, before any unlink; then
+    // after each ascending unlink.
+    std::fs::copy(&base, crash.join(base_file_name(5))).unwrap();
+    assert_eq!(cold_groups(&crash, 5), resident, "no delta unlinked");
+    for seq in 1..=2 {
+        std::fs::remove_file(crash.join(delta_file_name(5, seq))).unwrap();
+        assert_eq!(
+            cold_groups(&crash, 5),
+            resident,
+            "deltas up to {seq} unlinked"
+        );
+    }
+
+    let threshold = temp_dir("compact-crash-threshold");
+    let (_, spills) = spill_three(&threshold, 2);
+    assert_eq!(spills[2].kind, SpillKind::Compacted);
+    assert_eq!(spills[2].removed_files, 2, "the fold skipped its own delta");
+    assert_eq!(
+        std::fs::read(threshold.join(base_file_name(5))).unwrap(),
+        std::fs::read(&base).unwrap()
+    );
+}
+
+/// `compact` on a resident entry whose state is ahead of its files
+/// spills that state first, then leaves one base that loads as it.
+#[test]
+fn compact_writes_resident_state_ahead_of_its_files() {
+    let dir = temp_dir("compact-ahead");
+    let registry = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    registry.publish(6, &snap(&[(8, 1)])).unwrap();
+    assert_eq!(registry.spill(6).unwrap().kind, SpillKind::Base);
+    registry.publish(6, &snap(&[(8, 2), (40, 3)])).unwrap();
+
+    let outcome = registry.compact(6).unwrap();
+    assert_eq!(outcome.kind, SpillKind::Compacted);
+    assert_eq!(outcome.removed_files, 1, "the pending delta");
+    assert_eq!(snapshot_files(&dir), vec![dir.join(base_file_name(6))]);
+    let resident = registry.get(6).unwrap().unwrap();
+    assert_eq!(resident.len(), 3);
+    let cold = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    assert_eq!(*cold.get(6).unwrap().unwrap(), *resident);
+}
+
+/// `compact` on a program that is not resident folds its base and
+/// deltas into exactly its base, which loads as the state before; a
+/// second `compact` has nothing to fold.
+#[test]
+fn compact_folds_a_non_resident_program_into_its_base() {
+    let dir = temp_dir("compact-cold");
+    spill_base_and_delta(&dir, 3);
+    {
+        let registry = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+        registry.get(3).unwrap().unwrap();
+        registry.publish(3, &snap(&[(32, 4)])).unwrap();
+        assert_eq!(registry.spill(3).unwrap().kind, SpillKind::Delta);
+    }
+    let before = cold_groups(&dir, 3);
+    assert_eq!(before.len(), 4);
+
+    let registry = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    let outcome = registry.compact(3).unwrap();
+    assert_eq!(outcome.kind, SpillKind::Compacted);
+    assert_eq!(outcome.removed_files, 2);
+    assert_eq!(snapshot_files(&dir), vec![dir.join(base_file_name(3))]);
+    assert_eq!(registry.paths(3), vec![dir.join(base_file_name(3))]);
+    assert_eq!(cold_groups(&dir, 3), before);
+    assert_eq!(registry.compact(3).unwrap().kind, SpillKind::NoChange);
+    assert_eq!(registry.compact(404).unwrap().kind, SpillKind::NoChange);
+}
+
+/// The next delta's sequence number is read from the index: a delta
+/// another registry spilled, once `refresh` indexed it, is not
+/// overwritten by this registry's next delta.
+#[test]
+fn next_delta_number_follows_indexed_deltas() {
+    let dir = temp_dir("delta-seq");
+    save_snapshot(&dir.join(base_file_name(4)), 4, &snap(&[(8, 1)])).unwrap();
+    let ours = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    ours.get(4).unwrap().unwrap();
+
+    let theirs = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    theirs.get(4).unwrap().unwrap();
+    theirs.publish(4, &snap(&[(40, 2)])).unwrap();
+    let their_delta = theirs.spill(4).unwrap().path.unwrap();
+    assert_eq!(their_delta, dir.join(delta_file_name(4, 1)));
+    let their_bytes = std::fs::read(&their_delta).unwrap();
+
+    let outcome = ours.refresh().unwrap();
+    assert_eq!((outcome.new_files, outcome.refreshed), (1, 1));
+    ours.publish(4, &snap(&[(72, 3)])).unwrap();
+    let outcome = ours.spill(4).unwrap();
+    assert_eq!(outcome.kind, SpillKind::Delta);
+    assert_eq!(outcome.path, Some(dir.join(delta_file_name(4, 2))));
+    assert_eq!(std::fs::read(&their_delta).unwrap(), their_bytes);
+    let cold = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    assert_eq!(cold.get(4).unwrap().unwrap().len(), 3);
 }
