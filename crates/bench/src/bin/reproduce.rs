@@ -367,12 +367,12 @@ fn main() {
     if wants(&opts.targets, "fleet") {
         let start = std::time::Instant::now();
         let cells = tlr_bench::run_fleet(&opts.cfg, RtmConfig::RTM_32K);
-        eprintln!("[fleet (batched): {:?}]", start.elapsed());
+        eprintln!("[fleet: {:?}]", start.elapsed());
         emit(
             &opts.out_dir,
             doc,
             "fleet",
-            "Fleet pooling (ours): solo-warm vs merged-warm engine, in-process batched, % of instructions reused",
+            "Fleet pooling (ours): solo-warm vs merged-warm engine, % of instructions reused",
             &tlr_bench::fleet_table(&cells),
         );
         if opts.check {
@@ -469,7 +469,6 @@ fn main() {
     if wants(&opts.targets, "throughput") {
         let start = std::time::Instant::now();
         let cells = tlr_bench::run_throughput(&opts.cfg, RtmConfig::RTM_4K);
-        let batch = tlr_bench::run_batch_bench(&opts.cfg, RtmConfig::RTM_4K);
         eprintln!("[throughput: {:?}]", start.elapsed());
         emit(
             &opts.out_dir,
@@ -478,15 +477,8 @@ fn main() {
             "Simulator throughput (ours): observing interpreter vs predecoded fast path, reference vs throughput engine (MIPS)",
             &tlr_bench::throughput_table(&cells),
         );
-        emit(
-            &opts.out_dir,
-            doc,
-            "throughput_batch",
-            "Simulator throughput (ours): whole suite as one in-process batch per schedule",
-            &tlr_bench::batch_table(&batch),
-        );
         if opts.check {
-            if let Err(msg) = tlr_bench::check_throughput(&cells, &batch) {
+            if let Err(msg) = tlr_bench::check_throughput(&cells) {
                 eprintln!("error: throughput regression: {msg}");
                 std::process::exit(1);
             }

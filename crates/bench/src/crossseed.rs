@@ -1,7 +1,8 @@
 //! Cross-seed warm start via value-independent trace identity (ours,
 //! enabled by the shape fingerprint in `tlr-persist` format v6).
 //!
-//! A program's *value* fingerprint ([`program_fingerprint`]) covers its
+//! A program's *value* fingerprint
+//! ([`program_fingerprint`](tlr_persist::program_fingerprint)) covers its
 //! data image, so two runs of the same kernel under different data
 //! seeds look like different programs to the snapshot layer. The
 //! *shape* fingerprint ([`program_shape_fingerprint`]) strips the data
@@ -25,14 +26,10 @@
 //! data-dependent traces must be rejected by the live-in value check
 //! at reuse time, never replayed into the wrong state.
 
-use crate::harness::{pool_run, HarnessConfig};
-use crate::policy::state_digest;
-use tlr_core::{EngineConfig, EngineStats, Heuristic, RtmConfig, RtmSnapshot, TraceReuseEngine};
-use tlr_isa::NullSink;
-use tlr_persist::snapshot::{read_snapshot, write_snapshot};
-use tlr_persist::{program_fingerprint, program_shape_fingerprint};
+use crate::harness::{codec_roundtrip, plain_digest, pool_run, run_collecting, HarnessConfig};
+use tlr_core::{EngineConfig, EngineStats, Heuristic, RtmConfig, RtmSnapshot};
+use tlr_persist::program_shape_fingerprint;
 use tlr_stats::Table;
-use tlr_vm::Vm;
 
 /// Data seeds per workload: one subject plus the donors it pools.
 pub const SEEDS: usize = 3;
@@ -63,14 +60,6 @@ pub struct CrossSeedCell {
     pub digest_ok: bool,
 }
 
-/// Plain-VM digest after exactly `total` dynamic instructions.
-fn baseline_digest(prog: &tlr_asm::Program, total: u64) -> u64 {
-    let mut vm = Vm::new(prog);
-    vm.run(total, &mut NullSink)
-        .unwrap_or_else(|e| panic!("baseline vm error: {e}"));
-    state_digest(&vm)
-}
-
 /// Run the cross-seed comparison over every workload, in parallel.
 pub fn run_crossseed(
     cfg: &HarnessConfig,
@@ -96,60 +85,34 @@ pub fn run_crossseed(
                 "{}: seed {k} changed the program's shape",
                 w.name
             );
-            let mut engine = TraceReuseEngine::new(&prog, config);
-            engine
-                .run(cfg.budget)
-                .unwrap_or_else(|e| panic!("{}: donor engine error: {e}", w.name));
-            let mut snap = engine
-                .export_rtm()
-                .expect("value-comparison backend snapshots");
+            let mut snap = run_collecting(w.name, &prog, config, None, 0, cfg.budget).export_rtm();
             snap.shape = donor_shape;
-            let fingerprint = program_fingerprint(&prog);
-            let mut bytes = Vec::new();
-            write_snapshot(&mut bytes, fingerprint, &snap)
-                .unwrap_or_else(|e| panic!("{}: donor snapshot write error: {e}", w.name));
-            let (_, loaded) = read_snapshot(&mut bytes.as_slice(), Some(fingerprint))
-                .unwrap_or_else(|e| panic!("{}: donor snapshot read error: {e}", w.name));
-            donors.push(loaded);
+            donors.push(codec_roundtrip(w.name, &prog, &snap).0);
         }
         let merged = RtmSnapshot::merge(&donors)
             .unwrap_or_else(|e| panic!("{}: donor merge error: {e}", w.name));
         let shape_preserved = merged.shape == shape && donors.iter().all(|d| d.shape == shape);
         let donor_traces = merged.len();
 
-        let run = |warm: Option<&RtmSnapshot>| -> (EngineStats, u64, bool) {
-            let mut engine = match warm {
-                Some(snapshot) => TraceReuseEngine::new_warm(&subject, config, snapshot),
-                None => TraceReuseEngine::new(&subject, config),
-            };
-            let stats = engine
-                .run(cfg.budget)
-                .unwrap_or_else(|e| panic!("{}: subject engine error: {e}", w.name));
-            let ok = state_digest(engine.vm()) == baseline_digest(&subject, stats.total());
-            (stats, engine.rtm().stats().value_rejects, ok)
+        let run = |warm: Option<&RtmSnapshot>| {
+            let engine = run_collecting(w.name, &subject, config, warm, 0, cfg.budget);
+            let stats = engine.stats();
+            let ok = engine.vm().state_digest() == plain_digest(&subject, stats.total());
+            (stats, ok, engine)
         };
-
-        let (cold, _, cold_ok) = run(None);
-        let solo_snapshot = {
-            let mut engine = TraceReuseEngine::new(&subject, config);
-            engine
-                .run(cfg.budget)
-                .unwrap_or_else(|e| panic!("{}: solo producer error: {e}", w.name));
-            engine
-                .export_rtm()
-                .expect("value-comparison backend snapshots")
-        };
-        let (solo_warm, _, solo_ok) = run(Some(&solo_snapshot));
-        let (cross_warm, value_rejects, cross_ok) = run(Some(&merged));
+        let (cold, cold_ok, cold_engine) = run(None);
+        // The solo warm start serves the cold run's own export.
+        let (solo_warm, solo_ok, _) = run(Some(&cold_engine.export_rtm()));
+        let (cross_warm, cross_ok, _) = run(Some(&merged));
 
         CrossSeedCell {
             name: w.name,
             shape,
             cold,
             solo_warm,
-            cross_warm,
             donor_traces,
-            value_rejects,
+            value_rejects: cross_warm.rtm.value_rejects,
+            cross_warm,
             shape_preserved,
             digest_ok: cold_ok && solo_ok && cross_ok,
         }

@@ -27,10 +27,10 @@
 //! so the daemon served byte-equivalent warm state.
 
 use crate::fleet::{FLEET_COLD_A, FLEET_COLD_B, FLEET_WARM};
-use crate::harness::{pool_run, HarnessConfig};
+use crate::harness::{pool_run, run_collecting, scratch_dir, HarnessConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tlr_core::{EngineConfig, Heuristic, RtmConfig, RtmSnapshot, TraceReuseEngine};
+use tlr_core::{EngineConfig, Heuristic, RtmConfig};
 use tlr_persist::{program_fingerprint, save_snapshot};
 use tlr_serve::{Daemon, RegistryConfig, RegistryStats, RemoteRegistry, SnapshotRegistry};
 use tlr_stats::Table;
@@ -66,32 +66,6 @@ pub struct DaemonOutcome {
     pub clients: usize,
 }
 
-fn bench_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("tlr-bench-daemon")
-        .join(format!("{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
-    dir
-}
-
-fn producer_snapshot(
-    w: &Workload,
-    cfg: &HarnessConfig,
-    rtm: RtmConfig,
-    heuristic: Heuristic,
-) -> RtmSnapshot {
-    let prog = w.program(cfg.seed);
-    let mut engine = TraceReuseEngine::new(&prog, EngineConfig::paper(rtm, heuristic));
-    engine.set_source_run(cfg.seed);
-    engine
-        .run(cfg.budget)
-        .unwrap_or_else(|e| panic!("{}: producer error: {e}", w.name));
-    engine
-        .export_rtm()
-        .expect("value-comparison backend snapshots")
-}
-
 /// The in-process reference: merged-warm run via a local registry.
 fn in_process_run(
     registry: &SnapshotRegistry,
@@ -106,13 +80,9 @@ fn in_process_run(
         .unwrap_or_else(|e| panic!("{}: registry error: {e}", w.name))
         .unwrap_or_else(|| panic!("{}: no snapshot on disk", w.name));
     let config = EngineConfig::paper(rtm, FLEET_WARM);
-    let mut engine = TraceReuseEngine::new_warm(&prog, config, &snapshot);
-    engine.set_source_run(cfg.seed);
-    let stats = engine
-        .run(cfg.budget)
-        .unwrap_or_else(|e| panic!("{}: warm engine error: {e}", w.name));
+    let engine = run_collecting(w.name, &prog, config, Some(&snapshot), cfg.seed, cfg.budget);
     (
-        stats.pct_reused(),
+        engine.stats().pct_reused(),
         engine.vm().state_digest(),
         snapshot.len(),
     )
@@ -134,21 +104,19 @@ fn thread_client(
         .get(fingerprint)
         .unwrap_or_else(|e| panic!("{}: remote get error: {e}", w.name));
     let config = EngineConfig::paper(rtm, FLEET_WARM);
-    let mut engine = match &served {
-        Some(snapshot) => TraceReuseEngine::new_warm(&prog, config, snapshot),
-        None => TraceReuseEngine::new(&prog, config),
-    };
-    engine.set_source_run(cfg.seed);
-    let stats = engine
-        .run(cfg.budget)
-        .unwrap_or_else(|e| panic!("{}: warm engine error: {e}", w.name));
-    if let Some(snapshot) = engine.export_rtm() {
-        remote
-            .publish(fingerprint, &snapshot)
-            .unwrap_or_else(|e| panic!("{}: remote publish error: {e}", w.name));
-    }
+    let engine = run_collecting(
+        w.name,
+        &prog,
+        config,
+        served.as_deref(),
+        cfg.seed,
+        cfg.budget,
+    );
+    remote
+        .publish(fingerprint, &engine.export_rtm())
+        .unwrap_or_else(|e| panic!("{}: remote publish error: {e}", w.name));
     (
-        stats.pct_reused(),
+        engine.stats().pct_reused(),
         engine.vm().state_digest(),
         served.map_or(0, |s| s.len()),
     )
@@ -239,7 +207,7 @@ pub fn run_daemon_bench(
 ) -> DaemonOutcome {
     let workloads = tlr_workloads::all();
     let threads = cfg.effective_threads(workloads.len());
-    let dir = bench_dir("serve");
+    let dir = scratch_dir("daemon");
 
     // Producers: the fleet pair per workload, so the registry pools two
     // snapshots per program on load.
@@ -247,7 +215,9 @@ pub fn run_daemon_bench(
         let prog = w.program(cfg.seed);
         let fingerprint = program_fingerprint(&prog);
         for (suffix, heuristic) in [("a", FLEET_COLD_A), ("b", FLEET_COLD_B)] {
-            let snapshot = producer_snapshot(&w, cfg, rtm, heuristic);
+            let config = EngineConfig::paper(rtm, heuristic);
+            let snapshot =
+                run_collecting(w.name, &prog, config, None, cfg.seed, cfg.budget).export_rtm();
             let path = dir.join(format!("{}-{suffix}.tlrsnap", w.name));
             save_snapshot(&path, fingerprint, &snapshot)
                 .unwrap_or_else(|e| panic!("{}: {e}", path.display()));

@@ -22,19 +22,13 @@
 //!
 //! The merged snapshot round-trips through the `tlr-persist` binary
 //! codec in memory, so the comparison also exercises snapshot
-//! validation on real merged state.
-//!
-//! Every fleet member runs as a [`BatchRunner`] instance in this
-//! process, in two batch phases: all cold producers, then — after
-//! merging — all warm consumers.
+//! validation on real merged state. Each workload's two cold producers,
+//! their merge and the three warm starts run as one worker task.
 
-use crate::batch::{BatchRunner, BatchSpec, Schedule};
-use crate::harness::HarnessConfig;
+use crate::harness::{codec_roundtrip, pool_run, run_collecting, HarnessConfig};
 use tlr_core::{
     EngineConfig, EngineStats, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot, LFU_HALF_LIFE,
 };
-use tlr_persist::program_fingerprint;
-use tlr_persist::snapshot::{read_snapshot, write_snapshot};
 use tlr_stats::Table;
 
 /// The two cold-run heuristics standing in for run-to-run diversity,
@@ -64,93 +58,36 @@ pub struct FleetCell {
     pub conflicts: u64,
 }
 
-/// Merge two cold snapshots and round-trip the result through the
-/// `tlr-persist` binary codec, as the registry's disk path would.
-fn merge_and_roundtrip(
-    name: &str,
-    prog: &tlr_asm::Program,
-    snap_a: RtmSnapshot,
-    snap_b: RtmSnapshot,
-) -> (RtmSnapshot, usize, u64) {
-    let outcome =
-        RtmSnapshot::merge_detailed(&[snap_a, snap_b], ReplacementPolicy::Lru, LFU_HALF_LIFE)
-            .unwrap_or_else(|e| panic!("{name}: merge error: {e}"));
-    let fingerprint = program_fingerprint(prog);
-    let mut bytes = Vec::new();
-    write_snapshot(&mut bytes, fingerprint, &outcome.snapshot)
-        .unwrap_or_else(|e| panic!("{name}: snapshot write error: {e}"));
-    let (_, merged) = read_snapshot(&mut bytes.as_slice(), Some(fingerprint))
-        .unwrap_or_else(|e| panic!("{name}: snapshot read error: {e}"));
-    (merged, outcome.input_traces, outcome.conflicts)
-}
-
-/// Run the fleet comparison over every workload, run to completion.
+/// Run the fleet comparison over every workload, in parallel.
 pub fn run_fleet(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<FleetCell> {
-    run_fleet_with(cfg, rtm, Schedule::RunToCompletion)
-}
-
-/// Run the fleet comparison under an explicit batch schedule: every
-/// cold producer in one [`BatchRunner`], every warm consumer in a
-/// second, with the merges in between.
-pub fn run_fleet_with(cfg: &HarnessConfig, rtm: RtmConfig, schedule: Schedule) -> Vec<FleetCell> {
     let workloads = tlr_workloads::all();
-
-    let mut cold = BatchRunner::new(schedule);
-    for w in &workloads {
-        for (tag, heuristic) in [("A", FLEET_COLD_A), ("B", FLEET_COLD_B)] {
-            cold.push(BatchSpec::new(
-                format!("{}/{tag}", w.name),
-                w.program(cfg.seed),
-                EngineConfig::paper(rtm, heuristic),
-                cfg.budget,
-            ));
-        }
-    }
-    let mut cold_out = cold
-        .run()
-        .unwrap_or_else(|e| panic!("fleet cold batch: {e}"))
-        .into_iter();
-
-    let warm_config = EngineConfig::paper(rtm, FLEET_WARM);
-    let mut warm = BatchRunner::new(schedule);
-    let mut merges = Vec::with_capacity(workloads.len());
-    for w in &workloads {
-        let snap_a = cold_out.next().expect("cold outcome A").snapshot;
-        let snap_b = cold_out.next().expect("cold outcome B").snapshot;
+    let threads = cfg.effective_threads(workloads.len());
+    pool_run(threads, workloads, |w| {
         let prog = w.program(cfg.seed);
-        let (merged, input_traces, conflicts) =
-            merge_and_roundtrip(w.name, &prog, snap_a.clone(), snap_b.clone());
-        merges.push((w.name, merged.traces.len(), input_traces, conflicts));
-        for (tag, snapshot) in [("a", snap_a), ("b", snap_b), ("merged", merged)] {
-            warm.push(
-                BatchSpec::new(
-                    format!("{}/warm-{tag}", w.name),
-                    w.program(cfg.seed),
-                    warm_config,
-                    cfg.budget,
-                )
-                .with_warm(snapshot),
-            );
+        let cold = |heuristic: Heuristic| {
+            let config = EngineConfig::paper(rtm, heuristic);
+            run_collecting(w.name, &prog, config, None, 0, cfg.budget).export_rtm()
+        };
+        let inputs = [cold(FLEET_COLD_A), cold(FLEET_COLD_B)];
+        let outcome = RtmSnapshot::merge_detailed(&inputs, ReplacementPolicy::Lru, LFU_HALF_LIFE)
+            .unwrap_or_else(|e| panic!("{}: merge error: {e}", w.name));
+        // Round-trip the merge through the codec, as the registry's
+        // disk path would.
+        let (merged, _) = codec_roundtrip(w.name, &prog, &outcome.snapshot);
+        let warm = |snapshot: &RtmSnapshot| {
+            let config = EngineConfig::paper(rtm, FLEET_WARM);
+            run_collecting(w.name, &prog, config, Some(snapshot), 0, cfg.budget).stats()
+        };
+        FleetCell {
+            name: w.name,
+            warm_a: warm(&inputs[0]),
+            warm_b: warm(&inputs[1]),
+            warm_merged: warm(&merged),
+            merged_traces: merged.traces.len(),
+            input_traces: outcome.input_traces,
+            conflicts: outcome.conflicts,
         }
-    }
-    let mut warm_out = warm
-        .run()
-        .unwrap_or_else(|e| panic!("fleet warm batch: {e}"))
-        .into_iter();
-
-    let mut next_stats = || -> EngineStats { warm_out.next().expect("warm outcome").stats };
-    merges
-        .into_iter()
-        .map(|(name, merged_traces, input_traces, conflicts)| FleetCell {
-            name,
-            warm_a: next_stats(),
-            warm_b: next_stats(),
-            warm_merged: next_stats(),
-            merged_traces,
-            input_traces,
-            conflicts,
-        })
-        .collect()
+    })
 }
 
 /// Table: per benchmark, solo-warm A/B vs merged-warm `pct_reused()`

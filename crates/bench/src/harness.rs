@@ -1,15 +1,21 @@
-//! Parallel experiment execution.
+//! Parallel experiment execution, and the engine, codec and scratch
+//! helpers every experiment shares.
 //!
 //! Per the hpc-parallel guides, the fan-out is embarrassingly parallel
 //! and data-race free by construction: each worker owns its VM and sinks
 //! and writes into its own disjoint result slot; `std::thread::scope`
 //! joins everything before results are read.
 
+use std::path::PathBuf;
 use std::sync::Mutex;
+use tlr_asm::Program;
 use tlr_core::{
     EngineConfig, EngineStats, Heuristic, LimitConfig, LimitResult, LimitStudySink, RtmConfig,
+    RtmSnapshot, ThroughputEngine,
 };
-use tlr_isa::Alpha21164;
+use tlr_isa::{Alpha21164, NullSink};
+use tlr_persist::program_fingerprint;
+use tlr_persist::snapshot::{read_snapshot, write_snapshot};
 use tlr_vm::Vm;
 use tlr_workloads::{PaperRefs, Suite, Workload};
 
@@ -94,6 +100,79 @@ pub(crate) fn pool_run<T: Send, R: Send>(
         .into_iter()
         .map(|s| s.expect("worker filled slot"))
         .collect()
+}
+
+/// A collecting [`ThroughputEngine`] over `program`: cold, or warm
+/// from `warm`, stamping `source_run` into the provenance of the traces
+/// it collects ([`tlr_core::TraceMeta::source_run`]).
+pub(crate) fn collecting_engine(
+    program: &Program,
+    config: EngineConfig,
+    warm: Option<&RtmSnapshot>,
+    source_run: u64,
+) -> ThroughputEngine {
+    let mut engine = match warm {
+        Some(snapshot) => ThroughputEngine::new_warm(program, config, snapshot),
+        None => ThroughputEngine::new(program, config),
+    };
+    engine.set_source_run(source_run);
+    engine
+}
+
+/// [`collecting_engine`] run for `budget` dynamic instructions; a VM
+/// error panics naming `name`.
+pub(crate) fn run_collecting(
+    name: &str,
+    program: &Program,
+    config: EngineConfig,
+    warm: Option<&RtmSnapshot>,
+    source_run: u64,
+    budget: u64,
+) -> ThroughputEngine {
+    let mut engine = collecting_engine(program, config, warm, source_run);
+    engine
+        .run(budget)
+        .unwrap_or_else(|e| panic!("{name}: engine error: {e}"));
+    engine
+}
+
+/// Write `snapshot` under `program`'s fingerprint and read it back
+/// through the `tlr-persist` binary codec, as a warm start off disk
+/// would. Returns the loaded snapshot and its encoded size in bytes.
+pub(crate) fn codec_roundtrip(
+    name: &str,
+    program: &Program,
+    snapshot: &RtmSnapshot,
+) -> (RtmSnapshot, usize) {
+    let fingerprint = program_fingerprint(program);
+    let mut bytes = Vec::new();
+    write_snapshot(&mut bytes, fingerprint, snapshot)
+        .unwrap_or_else(|e| panic!("{name}: snapshot write error: {e}"));
+    let (_, loaded) = read_snapshot(&mut bytes.as_slice(), Some(fingerprint))
+        .unwrap_or_else(|e| panic!("{name}: snapshot read error: {e}"));
+    (loaded, bytes.len())
+}
+
+/// The plain VM's architectural-state digest ([`Vm::state_digest`])
+/// after exactly `total` dynamic instructions of `program` — what an
+/// engine run with the same progress must end in.
+pub(crate) fn plain_digest(program: &Program, total: u64) -> u64 {
+    let mut vm = Vm::new(program);
+    vm.run(total, &mut NullSink)
+        .unwrap_or_else(|e| panic!("plain vm error: {e}"));
+    vm.state_digest()
+}
+
+/// A fresh, empty scratch directory `tlr-bench/{tag}-{pid}` under the
+/// system temp directory. Tags must differ between experiments that
+/// can run at once in one process (the unit tests do).
+pub(crate) fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join("tlr-bench")
+        .join(format!("{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
+    dir
 }
 
 /// Run the combined limit study over every workload, in parallel.

@@ -22,7 +22,7 @@
 //! | `reproduce policy` | ours — RTM replacement-policy sweep (LRU vs LFU vs cost/benefit, cold and merged-warm) |
 //! | `reproduce daemon` | ours — N concurrent clients warm-starting from one `tlrd` daemon vs the in-process registry path |
 //! | `reproduce decant` | ours — reuse attribution by opcode class and loop structure (`tlr-decant` over the decision tap) |
-//! | `reproduce throughput` | ours — simulator MIPS: observing interpreter vs predecoded fast path, reference vs throughput engine, batched suite |
+//! | `reproduce throughput` | ours — simulator MIPS: observing interpreter vs predecoded fast path, reference vs throughput engine, warm serving |
 //! | `reproduce serveperf` | ours — zero-copy `Get` latency (cached image vs re-serialization), delta-spill write amplification, base ⊕ delta split-load equality |
 //! | `reproduce crossseed` | ours — cross-seed warm start: same code under different data seeds shares reuse state by shape fingerprint |
 //!
@@ -49,9 +49,11 @@
 //! across commits.
 //!
 //! All figure functions are library code so the integration tests can run
-//! them at reduced budgets.
+//! them at reduced budgets. Each experiment fans its workloads out over
+//! one worker pool, and the serving experiments build every engine
+//! through one [`harness`] helper: a collecting
+//! [`tlr_core::ThroughputEngine`], cold or warm.
 
-pub mod batch;
 pub mod crossseed;
 pub mod daemon;
 pub mod decant;
@@ -63,7 +65,6 @@ pub mod serveperf;
 pub mod throughput;
 pub mod warmstart;
 
-pub use batch::{BatchOutcome, BatchRunner, BatchSpec, Schedule};
 pub use crossseed::{
     check_crossseed, crossseed_table, run_crossseed, CrossSeedCell, CROSS_TOLERANCE_PCT, SEEDS,
 };
@@ -73,17 +74,12 @@ pub use daemon::{
 pub use decant::{
     check_decant, decant_class_table, decant_loop_table, decant_table, run_decant, DecantCell,
 };
-pub use fleet::{check_fleet, fleet_table, run_fleet, run_fleet_with, FleetCell};
+pub use fleet::{check_fleet, fleet_table, run_fleet, FleetCell};
 pub use harness::{run_engine_grid, run_limit_studies, BenchResult, EngineCell, HarnessConfig};
-pub use policy::{
-    check_policy, measured_label, policy_table, run_policy_sweep, state_digest, PolicyCell,
-};
+pub use policy::{check_policy, measured_label, policy_table, run_policy_sweep, PolicyCell};
 pub use serveperf::{
     check_serveperf, run_serveperf, serveperf_equality_table, serveperf_latency_table,
     serveperf_write_table, ServePerfCell, ServePerfEquality, ServePerfOutcome,
 };
-pub use throughput::{
-    batch_table, check_throughput, run_batch_bench, run_throughput, throughput_table, BatchCell,
-    ThroughputCell,
-};
+pub use throughput::{check_throughput, run_throughput, throughput_table, ThroughputCell};
 pub use warmstart::{check_warm_start, run_warm_start, warm_start_table, WarmStartCell};

@@ -25,23 +25,13 @@
 //! [`Attribution::class_weights`]: tlr_decant::Attribution::class_weights
 
 use crate::fleet::{FLEET_COLD_A, FLEET_COLD_B, FLEET_WARM};
-use crate::harness::{pool_run, HarnessConfig};
+use crate::harness::{collecting_engine, plain_digest, pool_run, run_collecting, HarnessConfig};
 use tlr_core::{
     ClassWeights, EngineConfig, EngineStats, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot,
-    TraceReuseEngine, LFU_HALF_LIFE,
+    LFU_HALF_LIFE,
 };
-use tlr_isa::{Alpha21164, NullSink};
+use tlr_isa::Alpha21164;
 use tlr_stats::Table;
-use tlr_vm::Vm;
-
-/// Full-architectural-state digest: every register (integer and FP) and
-/// every initialized memory word, in a canonical order. Now provided by
-/// the VM itself ([`Vm::state_digest`]) so the CLI and the daemon gate
-/// share the exact same equality token; kept here as an alias for the
-/// bench API.
-pub fn state_digest(vm: &Vm) -> u64 {
-    vm.state_digest()
-}
 
 /// One workload × policy outcome.
 pub struct PolicyCell {
@@ -62,14 +52,6 @@ pub struct PolicyCell {
     /// state plain execution of the same dynamic instruction count
     /// produces.
     pub state_ok: bool,
-}
-
-/// Plain-VM digest after exactly `total` dynamic instructions.
-fn baseline_digest(prog: &tlr_asm::Program, total: u64) -> u64 {
-    let mut vm = Vm::new(prog);
-    vm.run(total, &mut NullSink)
-        .unwrap_or_else(|e| panic!("baseline vm error: {e}"));
-    state_digest(&vm)
 }
 
 /// Label of the decant-derived measured-weights configuration in the
@@ -103,7 +85,7 @@ pub fn run_policy_sweep(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<PolicyCell> 
                 // cycles per skipped instruction.
                 let config = EngineConfig::paper(rtm, FLEET_WARM)
                     .with_policy(ReplacementPolicy::CostBenefit);
-                let mut probe = TraceReuseEngine::new(&prog, config);
+                let mut probe = collecting_engine(&prog, config, None, 0);
                 probe.enable_tap_with_cap(usize::try_from(cfg.budget).unwrap_or(usize::MAX));
                 probe
                     .run(cfg.budget)
@@ -113,38 +95,27 @@ pub fn run_policy_sweep(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<PolicyCell> 
                 ReplacementPolicy::CostBenefitMeasured(weights)
             }
         };
-        let run = |config: EngineConfig, warm: Option<&RtmSnapshot>| -> (EngineStats, bool) {
-            let mut engine = match warm {
-                Some(snapshot) => TraceReuseEngine::new_warm(&prog, config, snapshot),
-                None => TraceReuseEngine::new(&prog, config),
-            };
-            let stats = engine
-                .run(cfg.budget)
-                .unwrap_or_else(|e| panic!("{} [{policy}]: engine error: {e}", w.name));
+        let name = format!("{} [{policy}]", w.name);
+        let config = EngineConfig::paper(rtm, FLEET_WARM).with_policy(policy);
+        let run = |warm: Option<&RtmSnapshot>| -> (EngineStats, bool) {
+            let engine = run_collecting(&name, &prog, config, warm, 0, cfg.budget);
+            let stats = engine.stats();
             // The engine made `total()` instructions of progress; plain
             // execution of the same count must land in the same state.
-            let ok = state_digest(engine.vm()) == baseline_digest(&prog, stats.total());
+            let ok = engine.vm().state_digest() == plain_digest(&prog, stats.total());
             (stats, ok)
         };
-
-        let cold_config = EngineConfig::paper(rtm, FLEET_WARM).with_policy(policy);
-        let (cold, cold_ok) = run(cold_config, None);
+        let (cold, cold_ok) = run(None);
 
         let producer = |heuristic: Heuristic| -> RtmSnapshot {
             let config = EngineConfig::paper(rtm, heuristic).with_policy(policy);
-            let mut engine = TraceReuseEngine::new(&prog, config);
-            engine
-                .run(cfg.budget)
-                .unwrap_or_else(|e| panic!("{} [{policy}]: producer error: {e}", w.name));
-            engine
-                .export_rtm()
-                .expect("value-comparison backend snapshots")
+            run_collecting(&name, &prog, config, None, 0, cfg.budget).export_rtm()
         };
         let inputs = [producer(FLEET_COLD_A), producer(FLEET_COLD_B)];
         let merged = RtmSnapshot::merge_detailed(&inputs, policy, LFU_HALF_LIFE)
-            .unwrap_or_else(|e| panic!("{} [{policy}]: merge error: {e}", w.name))
+            .unwrap_or_else(|e| panic!("{name}: merge error: {e}"))
             .snapshot;
-        let (merged_warm, warm_ok) = run(cold_config, Some(&merged));
+        let (merged_warm, warm_ok) = run(Some(&merged));
 
         PolicyCell {
             name: w.name,

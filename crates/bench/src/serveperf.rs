@@ -27,12 +27,10 @@
 //! [`SnapshotRegistry::get_image`]: tlr_serve::SnapshotRegistry::get_image
 //! [`SnapshotRegistry::spill`]: tlr_serve::SnapshotRegistry::spill
 
-use crate::harness::HarnessConfig;
+use crate::harness::{run_collecting, scratch_dir, HarnessConfig};
 use std::path::PathBuf;
 use std::time::Instant;
-use tlr_core::{
-    EngineConfig, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot, TraceReuseEngine,
-};
+use tlr_core::{EngineConfig, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot};
 use tlr_persist::snapshot::write_snapshot;
 use tlr_persist::{load_merged_snapshots, program_fingerprint, save_snapshot};
 use tlr_serve::{RegistryConfig, SnapshotRegistry, SpillKind};
@@ -120,15 +118,6 @@ pub struct ServePerfOutcome {
     pub equality: Vec<ServePerfEquality>,
 }
 
-fn bench_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("tlr-bench-serveperf")
-        .join(format!("{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {dir:?}: {e}"));
-    dir
-}
-
 /// Canonical content digest of a snapshot: FxHash64 over the sorted
 /// per-PC-group digests ([`tlr_persist::group_digests`], which cover
 /// records *and* provenance). Order-insensitive by construction — two
@@ -145,44 +134,15 @@ fn snapshot_digest(snapshot: &RtmSnapshot) -> u64 {
     tlr_util::fx_hash_bytes(&bytes)
 }
 
-fn cold_snapshot(
-    w: &tlr_workloads::Workload,
-    cfg: &HarnessConfig,
-    config: EngineConfig,
-) -> RtmSnapshot {
-    let program = w.program(cfg.seed);
-    let mut engine = TraceReuseEngine::new(&program, config);
-    engine.set_source_run(cfg.seed);
-    engine
-        .run(cfg.budget)
-        .unwrap_or_else(|e| panic!("{}: cold engine error: {e}", w.name));
-    engine
-        .export_rtm()
-        .expect("value-comparison backend snapshots")
-}
-
-fn warm_snapshot(
-    w: &tlr_workloads::Workload,
-    cfg: &HarnessConfig,
-    config: EngineConfig,
-    warm: &RtmSnapshot,
-) -> RtmSnapshot {
-    let program = w.program(cfg.seed);
-    let mut engine = TraceReuseEngine::new_warm(&program, config, warm);
-    engine.set_source_run(cfg.seed + 1);
-    engine
-        .run((cfg.budget / WARM_BUDGET_DIV).max(1))
-        .unwrap_or_else(|e| panic!("{}: warm engine error: {e}", w.name));
-    engine
-        .export_rtm()
-        .expect("value-comparison backend snapshots")
-}
-
 /// Run the serving-path bench: latency and write amplification for
 /// every workload, split-load equality for every workload × policy.
 pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
     let workloads = tlr_workloads::all();
     let engine_config = EngineConfig::paper(rtm, Heuristic::FixedExp(4));
+    // The warm follow-up run whose publish-back a delta spills, stamped
+    // as the next source run.
+    let warm_budget = (cfg.budget / WARM_BUDGET_DIV).max(1);
+    let warm_source = cfg.seed + 1;
     let registry_config = |policy: ReplacementPolicy| RegistryConfig {
         policy,
         // One base + one delta per program; never compact mid-bench.
@@ -190,15 +150,17 @@ pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
         ..RegistryConfig::default()
     };
 
-    let dir = bench_dir("main");
+    let dir = scratch_dir("serveperf");
     let registry = SnapshotRegistry::open(&dir, registry_config(ReplacementPolicy::Lru))
         .unwrap_or_else(|e| panic!("serveperf registry: {e}"));
 
     let mut cells = Vec::with_capacity(workloads.len());
     let mut colds = Vec::with_capacity(workloads.len());
     for w in &workloads {
-        let cold = cold_snapshot(w, cfg, engine_config);
-        let fingerprint = program_fingerprint(&w.program(cfg.seed));
+        let program = w.program(cfg.seed);
+        let cold = run_collecting(w.name, &program, engine_config, None, cfg.seed, cfg.budget)
+            .export_rtm();
+        let fingerprint = program_fingerprint(&program);
         registry
             .publish(fingerprint, &cold)
             .unwrap_or_else(|e| panic!("{}: publish: {e}", w.name));
@@ -244,7 +206,15 @@ pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
         // Write amplification: a warm quarter-budget run publishes
         // back; spill writes a delta, a full rewrite would write the
         // whole resident state again.
-        let warm = warm_snapshot(w, cfg, engine_config, &resident);
+        let warm = run_collecting(
+            w.name,
+            &program,
+            engine_config,
+            Some(&resident),
+            warm_source,
+            warm_budget,
+        )
+        .export_rtm();
         registry
             .publish(fingerprint, &warm)
             .unwrap_or_else(|e| panic!("{}: warm publish: {e}", w.name));
@@ -271,7 +241,7 @@ pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
             delta_bytes: delta.bytes_written,
             delta_groups: delta.delta_groups,
         });
-        colds.push((w, cold));
+        colds.push((w, program, cold));
     }
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -280,12 +250,12 @@ pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
     // resident state, both loaded through the same tuned merge loader.
     let mut equality = Vec::new();
     for policy in ReplacementPolicy::ALL {
-        let dir = bench_dir(policy.label());
-        let full_dir = bench_dir(&format!("{}-full", policy.label()));
+        let dir = scratch_dir(&format!("serveperf-{}", policy.label()));
+        let full_dir = scratch_dir(&format!("serveperf-{}-full", policy.label()));
         let registry = SnapshotRegistry::open(&dir, registry_config(policy))
             .unwrap_or_else(|e| panic!("serveperf {} registry: {e}", policy.label()));
-        for (w, cold) in &colds {
-            let fingerprint = program_fingerprint(&w.program(cfg.seed));
+        for (w, program, cold) in &colds {
+            let fingerprint = program_fingerprint(program);
             registry
                 .publish(fingerprint, cold)
                 .unwrap_or_else(|e| panic!("{}: publish: {e}", w.name));
@@ -296,7 +266,15 @@ pub fn run_serveperf(cfg: &HarnessConfig, rtm: RtmConfig) -> ServePerfOutcome {
                 .get(fingerprint)
                 .unwrap_or_else(|e| panic!("{}: get: {e}", w.name))
                 .expect("just published");
-            let warm = warm_snapshot(w, cfg, engine_config.with_policy(policy), &resident);
+            let warm = run_collecting(
+                w.name,
+                program,
+                engine_config.with_policy(policy),
+                Some(&resident),
+                warm_source,
+                warm_budget,
+            )
+            .export_rtm();
             registry
                 .publish(fingerprint, &warm)
                 .unwrap_or_else(|e| panic!("{}: warm publish: {e}", w.name));

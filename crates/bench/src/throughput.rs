@@ -25,13 +25,9 @@
 //! executed/skipped/reuse-op counts) are compared on every row and
 //! gated hard by `--check`; speedups are gated on the suite mean so a
 //! single noisy CI row cannot flip the verdict.
-//!
-//! A second table exercises [`BatchRunner`]: the whole workload suite as
-//! one in-process batch under each schedule, reporting aggregate MIPS.
 
 use std::time::Instant;
 
-use crate::batch::{BatchRunner, BatchSpec, Schedule};
 use crate::harness::HarnessConfig;
 use tlr_core::{
     EngineConfig, EngineStats, Heuristic, RtmConfig, ThroughputEngine, TraceReuseEngine,
@@ -42,10 +38,6 @@ use tlr_vm::Vm;
 
 /// Collection heuristic used for every timed engine configuration.
 pub const THROUGHPUT_HEURISTIC: Heuristic = Heuristic::FixedExp(4);
-
-/// Round-robin quantum (dynamic instructions per turn) for the batched
-/// suite row.
-pub const BATCH_QUANTUM: u64 = 4_096;
 
 /// One workload's timed comparison.
 pub struct ThroughputCell {
@@ -84,20 +76,6 @@ impl ThroughputCell {
     pub fn engine_speedup(&self) -> f64 {
         self.eng_fast_mips / self.eng_ref_mips
     }
-}
-
-/// One batched-suite timing row.
-pub struct BatchCell {
-    /// Schedule label.
-    pub schedule: &'static str,
-    /// Instances in the batch (one per workload).
-    pub instances: usize,
-    /// Aggregate dynamic instructions across the batch.
-    pub total: u64,
-    /// Aggregate MIPS (total dynamic instructions / wall-clock).
-    pub mips: f64,
-    /// Every instance reproduced its solo digest.
-    pub digest_ok: bool,
 }
 
 fn mips(instrs: u64, secs: f64) -> f64 {
@@ -186,65 +164,6 @@ pub fn run_throughput(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<ThroughputCell
         .collect()
 }
 
-/// Run the whole suite as one in-process batch per schedule and time the
-/// aggregate; each instance's digest is checked against a solo run.
-pub fn run_batch_bench(cfg: &HarnessConfig, rtm: RtmConfig) -> Vec<BatchCell> {
-    let config = EngineConfig::paper(rtm, THROUGHPUT_HEURISTIC);
-    let solo_digests: Vec<u64> = tlr_workloads::all()
-        .iter()
-        .map(|w| {
-            let prog = w.program(cfg.seed);
-            let mut engine = ThroughputEngine::new(&prog, config);
-            engine
-                .run(cfg.budget)
-                .unwrap_or_else(|e| panic!("{}: solo error: {e}", w.name));
-            engine.vm().state_digest()
-        })
-        .collect();
-
-    let schedules = [
-        ("run-to-completion", Schedule::RunToCompletion),
-        (
-            "round-robin",
-            Schedule::RoundRobin {
-                quantum: BATCH_QUANTUM,
-            },
-        ),
-    ];
-    schedules
-        .iter()
-        .map(|&(label, schedule)| {
-            let mut runner = BatchRunner::new(schedule);
-            for w in tlr_workloads::all() {
-                runner.push(BatchSpec::new(
-                    w.name,
-                    w.program(cfg.seed),
-                    config,
-                    cfg.budget,
-                ));
-            }
-            let instances = runner.len();
-            let (outcomes, secs) = timed(|| {
-                runner
-                    .run()
-                    .unwrap_or_else(|e| panic!("batch [{label}]: {e}"))
-            });
-            let total: u64 = outcomes.iter().map(|o| o.stats.total()).sum();
-            let digest_ok = outcomes
-                .iter()
-                .zip(&solo_digests)
-                .all(|(o, &d)| o.digest == d);
-            BatchCell {
-                schedule: label,
-                instances,
-                total,
-                mips: mips(total, secs),
-                digest_ok,
-            }
-        })
-        .collect()
-}
-
 /// Table: per benchmark, MIPS of every configuration with pair speedups
 /// and the equality verdict; suite means on the last row.
 pub fn throughput_table(cells: &[ThroughputCell]) -> Table {
@@ -298,32 +217,10 @@ pub fn throughput_table(cells: &[ThroughputCell]) -> Table {
     table
 }
 
-/// Table: the batched-suite rows.
-pub fn batch_table(cells: &[BatchCell]) -> Table {
-    let mut table = Table::new(vec![
-        "schedule",
-        "instances",
-        "total instrs",
-        "agg MIPS",
-        "state",
-    ]);
-    for cell in cells {
-        table.row(vec![
-            cell.schedule.to_string(),
-            cell.instances.to_string(),
-            cell.total.to_string(),
-            format!("{:.2}", cell.mips),
-            if cell.digest_ok { "ok" } else { "MISMATCH" }.to_string(),
-        ]);
-    }
-    table
-}
-
 /// Regression gate for CI.
 ///
 /// Hard invariants: every fast/reference pair must agree on final
-/// architectural state and (for the engine pair) on reuse decisions,
-/// and every batched instance must reproduce its solo digest.
+/// architectural state and (for the engine pair) on reuse decisions.
 ///
 /// Timing is gated only on suite **means**, so one preempted CI row
 /// cannot flip the verdict, and each gate matches what its layer
@@ -337,7 +234,7 @@ pub fn batch_table(cells: &[BatchCell]) -> Table {
 ///   instruction still materializes a `DynInstr` for the collector, in
 ///   both engines — so it is held to near-parity (≥ 0.8× mean), a
 ///   guard against gross regressions rather than a speedup claim.
-pub fn check_throughput(cells: &[ThroughputCell], batch: &[BatchCell]) -> Result<(), String> {
+pub fn check_throughput(cells: &[ThroughputCell]) -> Result<(), String> {
     for cell in cells {
         if !cell.digest_ok {
             return Err(format!(
@@ -349,14 +246,6 @@ pub fn check_throughput(cells: &[ThroughputCell], batch: &[BatchCell]) -> Result
             return Err(format!(
                 "{}: fast engine disagreed with reference on reuse decisions",
                 cell.name
-            ));
-        }
-    }
-    for cell in batch {
-        if !cell.digest_ok {
-            return Err(format!(
-                "batch [{}]: an instance diverged from its solo digest",
-                cell.schedule
             ));
         }
     }
@@ -410,20 +299,5 @@ mod tests {
         }
         let table = throughput_table(&cells);
         assert_eq!(table.len(), cells.len() + 1);
-    }
-
-    #[test]
-    fn batched_suite_reproduces_solo_digests() {
-        let cfg = HarnessConfig {
-            budget: 15_000,
-            ..HarnessConfig::quick()
-        };
-        let batch = run_batch_bench(&cfg, RtmConfig::RTM_4K);
-        assert_eq!(batch.len(), 2);
-        for cell in &batch {
-            assert!(cell.digest_ok, "{}: digest mismatch", cell.schedule);
-            assert_eq!(cell.instances, tlr_workloads::all().len());
-        }
-        assert_eq!(batch_table(&batch).len(), 2);
     }
 }

@@ -12,10 +12,8 @@
 //! binary codec in memory, so the comparison also exercises (and sizes)
 //! the serialized form rather than a by-reference shortcut.
 
-use crate::harness::{pool_run, HarnessConfig};
-use tlr_core::{EngineConfig, EngineStats, Heuristic, RtmConfig, TraceReuseEngine};
-use tlr_persist::program_fingerprint;
-use tlr_persist::snapshot::{read_snapshot, write_snapshot};
+use crate::harness::{codec_roundtrip, pool_run, run_collecting, HarnessConfig};
+use tlr_core::{EngineConfig, EngineStats, Heuristic, RtmConfig};
 use tlr_stats::Table;
 
 /// Cold/warm outcome for one workload.
@@ -43,30 +41,14 @@ pub fn run_warm_start(
     pool_run(threads, workloads, |w| {
         let prog = w.program(cfg.seed);
         let config = EngineConfig::paper(rtm, heuristic);
-        let mut cold_engine = TraceReuseEngine::new(&prog, config);
-        let cold = cold_engine
-            .run(cfg.budget)
-            .unwrap_or_else(|e| panic!("{}: cold engine error: {e}", w.name));
-        let snapshot = cold_engine
-            .export_rtm()
-            .expect("value-comparison backend snapshots");
-
+        let cold = run_collecting(w.name, &prog, config, None, 0, cfg.budget);
         // Serialize and re-load, as a real warm start off disk would.
-        let fingerprint = program_fingerprint(&prog);
-        let mut bytes = Vec::new();
-        write_snapshot(&mut bytes, fingerprint, &snapshot)
-            .unwrap_or_else(|e| panic!("{}: snapshot write error: {e}", w.name));
-        let snapshot_bytes = bytes.len();
-        let (_, loaded) = read_snapshot(&mut bytes.as_slice(), Some(fingerprint))
-            .unwrap_or_else(|e| panic!("{}: snapshot read error: {e}", w.name));
-
-        let warm = TraceReuseEngine::new_warm(&prog, config, &loaded)
-            .run(cfg.budget)
-            .unwrap_or_else(|e| panic!("{}: warm engine error: {e}", w.name));
+        let (loaded, snapshot_bytes) = codec_roundtrip(w.name, &prog, &cold.export_rtm());
+        let warm = run_collecting(w.name, &prog, config, Some(&loaded), 0, cfg.budget);
         WarmStartCell {
             name: w.name,
-            cold,
-            warm,
+            cold: cold.stats(),
+            warm: warm.stats(),
             snapshot_traces: loaded.traces.len(),
             snapshot_bytes,
         }

@@ -354,8 +354,7 @@ impl<B: sealed::Backend> Engine<B> {
 
     /// Run until `halt` or until `budget` total dynamic instructions
     /// (executed + skipped) have been accounted. Incremental calls
-    /// continue where the previous one stopped — the batch scheduler
-    /// round-robins engines by calling this with growing budgets.
+    /// continue where the previous one stopped.
     pub fn run(&mut self, budget: u64) -> Result<EngineStats, VmError> {
         while self.executed + self.skipped < budget && !self.halted {
             self.step()?;

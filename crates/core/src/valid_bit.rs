@@ -29,9 +29,6 @@ use tlr_util::FxHashMap;
 struct Slot {
     rec: TraceRecord,
     valid: bool,
-    /// Bumped every time the slot is re-allocated, so stale reverse-index
-    /// references can be detected.
-    generation: u32,
     /// Insertion order stamp (for oldest-first replacement).
     stamp: u64,
 }
@@ -40,6 +37,10 @@ struct Slot {
 pub struct InvalidatingRtm {
     geometry: SetAssocGeometry,
     slots: Vec<Option<Slot>>,
+    /// Per slot id, bumped by every eviction and never reset, so a
+    /// reverse-index reference to an earlier occupant goes stale.
+    generations: Vec<u32>,
+    /// Ids of emptied slots, reused before anything is evicted.
     free: Vec<u32>,
     /// PC → slot ids, most recently stored last.
     by_pc: FxHashMap<u32, Vec<u32>>,
@@ -59,6 +60,7 @@ impl InvalidatingRtm {
         Self {
             geometry,
             slots: Vec::with_capacity(cap.min(4096)),
+            generations: Vec::with_capacity(cap.min(4096)),
             free: Vec::new(),
             by_pc: FxHashMap::default(),
             watchers: FxHashMap::default(),
@@ -78,15 +80,18 @@ impl InvalidatingRtm {
         self.slots.iter().flatten().filter(|s| s.valid).count() as u64
     }
 
+    /// An empty slot id: a freed one, else a new one below capacity,
+    /// else one emptied by evicting an invalid entry if any, else the
+    /// oldest.
     fn allocate(&mut self) -> u32 {
         if let Some(id) = self.free.pop() {
             return id;
         }
         if self.slots.len() < self.geometry.capacity() as usize {
             self.slots.push(None);
+            self.generations.push(0);
             return (self.slots.len() - 1) as u32;
         }
-        // Full: evict an invalid entry if any, else the oldest.
         let victim = self
             .slots
             .iter()
@@ -96,9 +101,10 @@ impl InvalidatingRtm {
             .map(|(i, _)| i as u32)
             .expect("capacity > 0, so a victim exists");
         self.evict(victim);
-        victim
+        self.free.pop().expect("eviction freed a slot")
     }
 
+    /// Empty slot `id`, free it, and make its watchers stale.
     fn evict(&mut self, id: u32) {
         if let Some(slot) = self.slots[id as usize].take() {
             let pc = slot.rec.start_pc;
@@ -108,6 +114,9 @@ impl InvalidatingRtm {
                     self.by_pc.remove(&pc);
                 }
             }
+            let generation = &mut self.generations[id as usize];
+            *generation = generation.wrapping_add(1);
+            self.free.push(id);
             self.stats.evictions += 1;
         }
     }
@@ -144,11 +153,7 @@ impl ReuseBackend for InvalidatingRtm {
         let valid = rec.ins.iter().all(|(loc, val)| state(*loc) == *val);
         let id = self.allocate();
         self.stamp += 1;
-        let generation = self.slots[id as usize]
-            .as_ref()
-            .map(|s| s.generation)
-            .unwrap_or(0)
-            .wrapping_add(1);
+        let generation = self.generations[id as usize];
         for (loc, _) in rec.ins.iter() {
             self.watchers
                 .entry(*loc)
@@ -159,7 +164,6 @@ impl ReuseBackend for InvalidatingRtm {
         self.slots[id as usize] = Some(Slot {
             rec,
             valid,
-            generation,
             stamp: self.stamp,
         });
         self.stats.stores += 1;
@@ -170,8 +174,11 @@ impl ReuseBackend for InvalidatingRtm {
             return;
         };
         for (id, generation) in watchers {
+            if self.generations[id as usize] != generation {
+                continue;
+            }
             if let Some(slot) = self.slots[id as usize].as_mut() {
-                if slot.generation == generation && slot.valid {
+                if slot.valid {
                     slot.valid = false;
                     self.invalidations += 1;
                 }
@@ -289,5 +296,44 @@ mod tests {
         assert!(rtm.lookup(2, &|_| 0).is_some(), "valid entry survived");
         assert!(rtm.lookup(3, &|_| 0).is_some());
         assert!(rtm.lookup(1, &|_| 0).is_none());
+    }
+
+    #[test]
+    fn per_pc_evictions_free_their_slots() {
+        let g = SetAssocGeometry {
+            sets: 1,
+            ways: 2,
+            per_pc: 2,
+        }; // capacity 4
+        let mut rtm = InvalidatingRtm::new(g);
+        let state = |_: Loc| 0u64;
+        for v in 1..=3 {
+            rtm.insert(rec(10, &[], &[(R2, v)]), &state);
+        }
+        rtm.insert(rec(20, &[], &[]), &state);
+        rtm.insert(rec(30, &[], &[]), &state);
+        assert_eq!(rtm.resident(), 4);
+        assert_eq!(rtm.stats().evictions, 1, "only the per-PC eviction");
+        for pc in [10, 20, 30] {
+            assert!(rtm.lookup(pc, &|_| 0).is_some(), "pc {pc}");
+        }
+    }
+
+    #[test]
+    fn reused_slot_ignores_the_previous_occupants_inputs() {
+        let g = SetAssocGeometry {
+            sets: 1,
+            ways: 1,
+            per_pc: 2,
+        }; // capacity 2
+        let mut rtm = InvalidatingRtm::new(g);
+        let state = |_: Loc| 0u64;
+        rtm.insert(rec(1, &[(R1, 0)], &[]), &state);
+        rtm.insert(rec(2, &[(R2, 0)], &[]), &state);
+        rtm.insert(rec(3, &[], &[]), &state); // evicts pc 1, the oldest
+        assert!(rtm.lookup(1, &|_| 0).is_none());
+        rtm.on_write(R1); // pc 1's live-in, not pc 3's
+        assert!(rtm.lookup(3, &|_| 0).is_some(), "pc 3 survives the write");
+        assert_eq!(rtm.invalidations(), 0);
     }
 }

@@ -104,11 +104,13 @@ pub fn group_digests(snapshot: &RtmSnapshot) -> Result<BTreeMap<u32, u64>> {
 /// Compute the delta that takes the state summarized by `old` (a prior
 /// [`group_digests`]) to `new`. Changed or new groups are carried in
 /// full; groups present in `old` but gone from `new` become tombstones.
+/// Also returns `group_digests(new)`, which the diff computes anyway —
+/// the summary the next diff starts from.
 pub fn diff_snapshots(
     old: &BTreeMap<u32, u64>,
     new: &RtmSnapshot,
     seq: u64,
-) -> Result<DeltaSegment> {
+) -> Result<(DeltaSegment, BTreeMap<u32, u64>)> {
     let fresh = group_digests(new)?;
     let changed: std::collections::BTreeSet<u32> = fresh
         .iter()
@@ -128,13 +130,14 @@ pub fn diff_snapshots(
             meta.push(m);
         }
     }
-    Ok(DeltaSegment {
+    let delta = DeltaSegment {
         seq,
         config: new.config,
         tombstones,
         traces,
         meta,
-    })
+    };
+    Ok((delta, fresh))
 }
 
 /// Overlay `delta` onto `base`: drop every base record whose PC the
@@ -440,7 +443,8 @@ mod tests {
         // pc 0 keeps its group, pc 4 changes a value, pc 8 disappears,
         // pc 12 is new.
         let new = snapshot(&[(0, 1), (4, 99), (12, 5)]);
-        let delta = diff_snapshots(&group_digests(&old).unwrap(), &new, 1).unwrap();
+        let (delta, fresh) = diff_snapshots(&group_digests(&old).unwrap(), &new, 1).unwrap();
+        assert_eq!(fresh, group_digests(&new).unwrap());
         assert_eq!(delta.tombstones, vec![8]);
         assert_eq!(delta.traces.len(), 2, "only pc 4 and pc 12 spill");
         let mut rebuilt = old.clone();
@@ -454,7 +458,7 @@ mod tests {
         let old = snapshot(&[(0, 1), (4, 2)]);
         let mut new = old.clone();
         new.meta[1].hits += 7; // same records, hotter provenance
-        let delta = diff_snapshots(&group_digests(&old).unwrap(), &new, 1).unwrap();
+        let (delta, _) = diff_snapshots(&group_digests(&old).unwrap(), &new, 1).unwrap();
         assert_eq!(delta.traces.len(), 1);
         assert_eq!(delta.traces[0].start_pc, 4);
         assert!(delta.tombstones.is_empty());
@@ -463,7 +467,7 @@ mod tests {
     #[test]
     fn unchanged_snapshot_diffs_empty() {
         let s = snapshot(&[(0, 1), (4, 2)]);
-        let delta = diff_snapshots(&group_digests(&s).unwrap(), &s, 3).unwrap();
+        let (delta, _) = diff_snapshots(&group_digests(&s).unwrap(), &s, 3).unwrap();
         assert!(delta.is_empty());
     }
 
@@ -471,7 +475,7 @@ mod tests {
     fn binary_roundtrip_compressed_and_plain() {
         let old = snapshot(&[(0, 1), (4, 2), (8, 3)]);
         let new = snapshot(&[(0, 1), (4, 99), (12, 5)]);
-        let delta = diff_snapshots(&group_digests(&old).unwrap(), &new, 42).unwrap();
+        let (delta, _) = diff_snapshots(&group_digests(&old).unwrap(), &new, 42).unwrap();
         for compress in [false, true] {
             let mut buf = Vec::new();
             write_delta_segment(&mut buf, 7, &delta, compress).unwrap();
@@ -512,8 +516,8 @@ mod tests {
         let s2 = snapshot(&[(0, 1), (4, 99), (12, 6), (16, 7)]);
         let base = dir.join(base_file_name(7));
         save_snapshot(&base, 7, &s0).unwrap();
-        let d1 = diff_snapshots(&group_digests(&s0).unwrap(), &s1, 1).unwrap();
-        let d2 = diff_snapshots(&group_digests(&s1).unwrap(), &s2, 2).unwrap();
+        let (d1, _) = diff_snapshots(&group_digests(&s0).unwrap(), &s1, 1).unwrap();
+        let (d2, _) = diff_snapshots(&group_digests(&s1).unwrap(), &s2, 2).unwrap();
         let p1 = dir.join(delta_file_name(7, 1));
         let p2 = dir.join(delta_file_name(7, 2));
         save_delta_segment(&p1, 7, &d1, true).unwrap();

@@ -420,7 +420,8 @@ impl Index {
             .unwrap_or_default()
     }
 
-    /// Drop `path` from the index (compaction deleted it).
+    /// Drop `path` from the index (a fold deleted it, or it vanished),
+    /// and the fingerprint with its last file.
     fn forget(&mut self, fingerprint: u64, path: &Path) {
         if let Some(paths) = self.by_fingerprint.get_mut(&fingerprint) {
             paths.retain(|p| p != path);
@@ -530,7 +531,10 @@ impl SnapshotRegistry {
     /// stamp matches the previous scan are counted as `unchanged` and
     /// not re-read at all. Delta segments contribute their changed
     /// groups (an absorb merge can only add state; tombstones matter
-    /// only to the merge-on-load path).
+    /// only to the merge-on-load path). Indexed files that vanished —
+    /// another process folded the directory — are unindexed first, so
+    /// a later load does not open them; resident entries keep their
+    /// state.
     ///
     /// Ordering is deliberate, per file: a new file is **fully loaded
     /// and validated before it is indexed**, so an unreadable,
@@ -544,6 +548,7 @@ impl SnapshotRegistry {
     pub fn refresh(&self) -> Result<RefreshOutcome, ServeError> {
         let _pass = self.refresh_serial.lock().unwrap();
         let on_disk = scan_snapshot_files(&self.dir)?;
+        self.forget_vanished(&on_disk);
         let mut outcome = RefreshOutcome::default();
         // Partition the scan against the index: unseen paths, known
         // paths whose stamp moved, and stamp-stable paths (skipped
@@ -637,6 +642,30 @@ impl SnapshotRegistry {
         match first_err {
             Some(e) => Err(e),
             None => Ok(outcome),
+        }
+    }
+
+    /// Unindex every indexed file missing from `on_disk` (sorted), so
+    /// a load never opens a file another process folded away; a
+    /// fingerprint left with no files is dropped. Resident entries keep
+    /// their state.
+    fn forget_vanished(&self, on_disk: &[PathBuf]) {
+        let vanished: Vec<(u64, PathBuf)> = {
+            let index = self.index.read().unwrap();
+            index
+                .by_fingerprint
+                .iter()
+                .flat_map(|(fp, paths)| paths.iter().map(move |p| (*fp, p)))
+                .filter(|(_, p)| on_disk.binary_search(p).is_err())
+                .map(|(fp, p)| (fp, p.clone()))
+                .collect()
+        };
+        if vanished.is_empty() {
+            return;
+        }
+        let mut index = self.index.write().unwrap();
+        for (fingerprint, path) in &vanished {
+            index.forget(*fingerprint, path);
         }
     }
 
@@ -961,9 +990,9 @@ impl SnapshotRegistry {
         let Some((snap, durable)) = self.resident(fingerprint) else {
             return Ok(SpillOutcome::default());
         };
-        let groups = group_digests(&snap)?;
         let Some(durable) = durable else {
             // First durable representation: a full base file.
+            let groups = group_digests(&snap)?;
             let outcome = self.fold(fingerprint, &snap, SpillKind::Base)?;
             self.set_durable(fingerprint, groups);
             return Ok(outcome);
@@ -973,7 +1002,7 @@ impl SnapshotRegistry {
             .iter()
             .filter_map(|p| delta_seq_from_path(p))
             .fold((0, 0), |(n, last), seq| (n + 1, last.max(seq)));
-        let delta = diff_snapshots(&durable, &snap, last_seq + 1)?;
+        let (delta, groups) = diff_snapshots(&durable, &snap, last_seq + 1)?;
         if delta.is_empty() {
             return Ok(SpillOutcome::default());
         }

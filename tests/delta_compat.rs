@@ -325,7 +325,7 @@ proptest! {
         let mut split = vec![base];
         for (i, pair) in states.windows(2).enumerate() {
             let seq = i as u64 + 1;
-            let delta = diff_snapshots(&group_digests(&pair[0]).unwrap(), &pair[1], seq).unwrap();
+            let (delta, _) = diff_snapshots(&group_digests(&pair[0]).unwrap(), &pair[1], seq).unwrap();
             let path = temp_path("prop", &delta_file_name(fp, seq));
             // Alternate the codec so both frame encodings are replayed.
             save_delta_segment(&path, fp, &delta, i % 2 == 0).unwrap();
@@ -365,7 +365,7 @@ proptest! {
     ) {
         let old = snapshot(&[(0, 1), (4, 2), (8, 3)]);
         let new = snapshot(&[(0, 1), (4, 99), (12, 5)]);
-        let delta = diff_snapshots(&group_digests(&old).unwrap(), &new, 42).unwrap();
+        let (delta, _) = diff_snapshots(&group_digests(&old).unwrap(), &new, 42).unwrap();
         let base = temp_path("bitflip", &base_file_name(7));
         let delta_path = temp_path("bitflip", &delta_file_name(7, 42));
         save_snapshot(&base, 7, &old).unwrap();
@@ -395,7 +395,7 @@ proptest! {
     fn delta_truncation_always_detected(cut in 0u64..u64::MAX, compress in any::<bool>()) {
         let old = snapshot(&[(0, 1), (4, 2), (8, 3)]);
         let new = snapshot(&[(0, 1), (4, 99), (12, 5)]);
-        let delta = diff_snapshots(&group_digests(&old).unwrap(), &new, 1).unwrap();
+        let (delta, _) = diff_snapshots(&group_digests(&old).unwrap(), &new, 1).unwrap();
         let base = temp_path("truncate", &base_file_name(7));
         let delta_path = temp_path("truncate", &delta_file_name(7, 1));
         save_snapshot(&base, 7, &old).unwrap();

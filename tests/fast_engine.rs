@@ -1,6 +1,6 @@
 //! Cross-check harness for the predecoded throughput engine: the fast
-//! substrate (predecode tables, straight-line trace blocks, batched
-//! execution) must be *invisible* — every workload, every replacement
+//! substrate (predecode tables, straight-line trace blocks) must be
+//! *invisible* — every workload, every replacement
 //! policy, cold and warm starts, and arbitrary valid programs must end
 //! in exactly the state the reference engine and the plain interpreter
 //! produce, with identical instruction accounting and identical reuse

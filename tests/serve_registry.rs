@@ -3,8 +3,9 @@
 //! contributor alone without perturbing architectural state),
 //! publish-back pooling, including a publish-born entry's canonical
 //! state and a publish that finds only files, and the durable-state
-//! path: spill sequence numbers read from the index, and compaction
-//! that loads as the old state or the new one at every crash point.
+//! path: spill sequence numbers read from the index, compaction that
+//! loads as the old state or the new one at every crash point, and a
+//! refresh that forgets the files another registry's fold deleted.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -468,4 +469,28 @@ fn next_delta_number_follows_indexed_deltas() {
     assert_eq!(std::fs::read(&their_delta).unwrap(), their_bytes);
     let cold = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
     assert_eq!(cold.get(4).unwrap().unwrap().len(), 3);
+}
+
+/// A registry whose directory another registry folds (`tlrsim compact`
+/// beside a running daemon) unindexes the deleted files on its next
+/// `refresh`, and serves the folded state; a program whose files all
+/// vanished is forgotten.
+#[test]
+fn refresh_forgets_files_a_fold_deleted() {
+    let dir = temp_dir("refresh-vanished");
+    spill_base_and_delta(&dir, 9);
+    save_snapshot(&dir.join(base_file_name(10)), 10, &snap(&[(8, 1)])).unwrap();
+    let daemon = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    assert_eq!(daemon.paths(9).len(), 2);
+
+    let folder = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    assert_eq!(folder.compact(9).unwrap().kind, SpillKind::Compacted);
+    std::fs::remove_file(dir.join(base_file_name(10))).unwrap();
+
+    daemon.refresh().unwrap();
+    assert_eq!(daemon.paths(9), vec![dir.join(base_file_name(9))]);
+    let served = daemon.get(9).unwrap().expect("the folded base");
+    assert_eq!(group_digests(&served).unwrap(), cold_groups(&dir, 9));
+    assert_eq!(daemon.fingerprints(), vec![9]);
+    assert!(daemon.get(10).unwrap().is_none());
 }
