@@ -376,7 +376,7 @@ pub fn pipeline_ablation(cfg: &crate::harness::HarnessConfig) -> Table {
 /// §3.3 reuse-test comparison (ours): value-comparison RTM vs valid-bit
 /// RTM with invalidation, same geometry and heuristic.
 pub fn validbit_table(cfg: &crate::harness::HarnessConfig) -> Table {
-    use tlr_core::{EngineConfig, Heuristic};
+    use tlr_core::{Engine, EngineConfig, Heuristic, InvalidatingRtm};
     let mut table = Table::new(vec![
         "benchmark",
         "value-compare %",
@@ -389,7 +389,8 @@ pub fn validbit_table(cfg: &crate::harness::HarnessConfig) -> Table {
         let base = EngineConfig::paper(RtmConfig::RTM_4K, Heuristic::FixedExp(4));
         let value = tlr_core::run_engine(&prog, base, cfg.budget)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let vb = tlr_core::run_engine(&prog, base.with_valid_bit(), cfg.budget)
+        let vb = Engine::<InvalidatingRtm>::new(&prog, base)
+            .run(cfg.budget)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         vals.push((value.pct_reused(), vb.pct_reused()));
         table.row(vec![

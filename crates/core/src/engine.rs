@@ -34,18 +34,6 @@ use tlr_asm::Program;
 use tlr_stats::Histogram;
 use tlr_vm::{ExecMode, FastStep, StepResult, Vm, VmError};
 
-/// Which reuse test the engine uses (§3.3 describes both).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReuseTest {
-    /// Read all input locations and compare against recorded values (the
-    /// mechanism the paper evaluates).
-    #[default]
-    ValueCompare,
-    /// Valid bit + invalidation on every architectural write — simpler
-    /// test, conservative coverage.
-    ValidBit,
-}
-
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -55,8 +43,6 @@ pub struct EngineConfig {
     pub heuristic: Heuristic,
     /// Per-trace I/O caps (the paper uses [`IoCaps::PAPER`]).
     pub caps: IoCaps,
-    /// Reuse-test mechanism.
-    pub reuse_test: ReuseTest,
     /// RTM replacement policy (the paper hard-wires
     /// [`ReplacementPolicy::Lru`]). Ignored by the valid-bit backend,
     /// which has its own invalid-first reclamation.
@@ -68,23 +54,16 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Figure 9's default: paper caps, value-comparison reuse test, LRU
-    /// replacement, caller-chosen RTM and heuristic.
+    /// Figure 9's default: paper caps, LRU replacement, caller-chosen
+    /// RTM and heuristic.
     pub fn paper(rtm: RtmConfig, heuristic: Heuristic) -> Self {
         Self {
             rtm,
             heuristic,
             caps: IoCaps::PAPER,
-            reuse_test: ReuseTest::ValueCompare,
             policy: ReplacementPolicy::Lru,
             lfu_half_life: crate::policy::LFU_HALF_LIFE,
         }
-    }
-
-    /// Same configuration with the valid-bit reuse test.
-    pub fn with_valid_bit(mut self) -> Self {
-        self.reuse_test = ReuseTest::ValidBit;
-        self
     }
 
     /// Same configuration under a different RTM replacement policy.
@@ -274,9 +253,12 @@ pub struct Engine<B = ReuseTraceMemory> {
     tap: Option<DecisionLog>,
 }
 
-/// The reference engine: the backend [`EngineConfig::reuse_test`]
-/// selects (the value-comparison [`ReuseTraceMemory`] or the valid-bit
-/// [`InvalidatingRtm`]), boxed, always stepping observed.
+/// The reference engine: the value-comparison [`ReuseTraceMemory`],
+/// boxed, always stepping observed. The reuse test is chosen by type —
+/// the valid-bit engine is `Engine<InvalidatingRtm>` — but this engine
+/// keeps its boxed backend and its `Option` export
+/// ([`TraceReuseEngine::export_rtm`]), because the benchmark harness
+/// (`tlrbench`) calls `export_rtm().expect(..)` on it.
 pub type TraceReuseEngine = Engine<Box<dyn ReuseBackend>>;
 
 /// The throughput engine: the value-comparison RTM held directly,
@@ -457,48 +439,43 @@ impl<B: sealed::Backend> Engine<B> {
 }
 
 impl TraceReuseEngine {
-    /// Load `program` under `config`, on the backend
-    /// `config.reuse_test` selects.
+    /// Load `program` under `config`.
     pub fn new(program: &Program, config: EngineConfig) -> Self {
-        let rtm: Box<dyn ReuseBackend> = match config.reuse_test {
-            ReuseTest::ValueCompare => Box::new(cold_rtm(&config)),
-            ReuseTest::ValidBit => Box::new(InvalidatingRtm::new(config.rtm.geometry)),
-        };
-        Self::with_backend(program, config, rtm)
+        Self::with_backend(program, config, Box::new(cold_rtm(&config)))
     }
 
     /// Like [`TraceReuseEngine::new`], but seed the RTM from a prior
     /// run's [`RtmSnapshot`] so the engine starts warm instead of paying
     /// the full cold-start trace-collection cost.
     ///
-    /// The snapshot's geometry overrides `config.rtm`, and the backend is
-    /// always the value-comparison RTM (valid-bit state cannot be
-    /// persisted — see [`ReuseBackend::snapshot`]).
+    /// The snapshot's geometry overrides `config.rtm`.
     pub fn new_warm(program: &Program, config: EngineConfig, snapshot: &RtmSnapshot) -> Self {
         let (config, rtm) = warm_rtm(config, snapshot);
         Self::with_backend(program, config, Box::new(rtm))
     }
 
     /// Export the RTM's resident traces for persistence (warm-starting a
-    /// later run). `None` for the valid-bit backend.
+    /// later run). Always `Some`: the backend is the value-comparison RTM.
     pub fn export_rtm(&self) -> Option<RtmSnapshot> {
         self.rtm.snapshot()
     }
 }
 
+impl Engine<InvalidatingRtm> {
+    /// Load `program` under `config` on the valid-bit reuse test (§3.3's
+    /// simpler alternative), stepping observed so that every
+    /// architectural write reaches [`ReuseBackend::on_write`]. The RTM
+    /// geometry is `config.rtm`'s; the replacement policy is the
+    /// backend's own invalid-first reclamation. Its state cannot be
+    /// persisted (see [`ReuseBackend::snapshot`]).
+    pub fn new(program: &Program, config: EngineConfig) -> Self {
+        Self::with_backend(program, config, InvalidatingRtm::new(config.rtm.geometry))
+    }
+}
+
 impl ThroughputEngine {
     /// Load `program` under `config`, in [`ExecMode::Fast`].
-    ///
-    /// # Panics
-    ///
-    /// If `config.reuse_test` is not [`ReuseTest::ValueCompare`]: the
-    /// valid-bit backend needs per-write invalidation hooks that the
-    /// fast path removes. Use the reference engine for valid-bit runs.
     pub fn new(program: &Program, config: EngineConfig) -> Self {
-        assert!(
-            config.reuse_test == ReuseTest::ValueCompare,
-            "ThroughputEngine supports only the value-comparison reuse test"
-        );
         Self::with_backend(program, config, cold_rtm(&config)).with_mode(ExecMode::Fast)
     }
 
@@ -564,12 +541,10 @@ fn cold_rtm(config: &EngineConfig) -> ReuseTraceMemory {
 }
 
 /// A warm start's configuration and RTM: the snapshot's geometry
-/// overrides `config.rtm` (the ILR buffer follows it) and the backend
-/// is the value-comparison RTM.
+/// overrides `config.rtm` (the ILR buffer follows it).
 fn warm_rtm(config: EngineConfig, snapshot: &RtmSnapshot) -> (EngineConfig, ReuseTraceMemory) {
     let config = EngineConfig {
         rtm: snapshot.config,
-        reuse_test: ReuseTest::ValueCompare,
         ..config
     };
     let rtm = ReuseTraceMemory::import_with(snapshot, config.policy)
@@ -581,8 +556,8 @@ mod sealed {
     use super::*;
 
     /// How an engine over a backend takes one step. Sealed: the boxed
-    /// backend of [`TraceReuseEngine`] always steps observed, and only
-    /// the value-comparison RTM has a fast path.
+    /// backend of [`TraceReuseEngine`] and the valid-bit backend always
+    /// step observed, and only the value-comparison RTM has a fast path.
     pub trait Backend: ReuseBackend + Sized {
         /// Take one step of `engine`.
         fn step(engine: &mut Engine<Self>) -> Result<(), VmError>;
@@ -592,6 +567,13 @@ mod sealed {
     // `#[inline]` here and on `step_fast` lets it take a step without
     // extra calls (measured: a serving-only run ~6% slower without).
     impl Backend for Box<dyn ReuseBackend> {
+        #[inline]
+        fn step(engine: &mut Engine<Self>) -> Result<(), VmError> {
+            engine.step_reference()
+        }
+    }
+
+    impl Backend for InvalidatingRtm {
         #[inline]
         fn step(engine: &mut Engine<Self>) -> Result<(), VmError> {
             engine.step_reference()
@@ -1029,12 +1011,5 @@ mod tests {
                 assert_eq!(fast.vm().state_digest(), observed.vm().state_digest());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "value-comparison")]
-    fn valid_bit_config_is_rejected() {
-        let program = assemble("halt\n").unwrap();
-        let _ = ThroughputEngine::new(&program, config().with_valid_bit());
     }
 }

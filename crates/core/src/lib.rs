@@ -26,13 +26,14 @@
 //!
 //! [`Engine`] is the reuse machine of §3.3: at every fetch it probes
 //! the RTM; a hit skips the trace, a miss executes one instruction and
-//! feeds the collector. It comes in two instantiations that take
-//! identical decisions:
+//! feeds the collector. The reuse test is chosen by the backend type.
+//! Two instantiations run the value-comparison test and take identical
+//! decisions:
 //!
 //! - [`TraceReuseEngine`] (`Engine<Box<dyn ReuseBackend>>`), the
-//!   reference engine: the value-comparison RTM or the valid-bit backend
-//!   as [`EngineConfig::reuse_test`] selects, stepping observed (a full
-//!   [`tlr_isa::DynInstr`] per executed instruction).
+//!   reference engine: the value-comparison RTM behind dynamic dispatch,
+//!   stepping observed (a full [`tlr_isa::DynInstr`] per executed
+//!   instruction).
 //! - [`ThroughputEngine`] (`Engine<ReuseTraceMemory>`), the
 //!   value-comparison RTM without dynamic dispatch, in one of two
 //!   [`tlr_vm::ExecMode`]s: `Fast` (the default) serves hits through
@@ -40,6 +41,10 @@
 //!   [`without_collection`](ThroughputEngine::without_collection)
 //!   detaches the collector, runs misses on the predecoded interpreter;
 //!   `Observed` takes the reference step.
+//!
+//! A third, `Engine<InvalidatingRtm>`, runs §3.3's valid-bit test
+//! ([`InvalidatingRtm`]), stepping observed so that every write reaches
+//! its invalidation hook.
 //!
 //! ## Quick start
 //!
@@ -92,8 +97,8 @@ pub mod valid_bit;
 pub use block::TraceBlock;
 pub use collect::{CollectStats, Collector, Heuristic};
 pub use engine::{
-    run_engine, DecisionLog, Engine, EngineConfig, EngineStats, ReuseEvent, ReuseTest,
-    ThroughputEngine, TraceReuseEngine,
+    run_engine, DecisionLog, Engine, EngineConfig, EngineStats, ReuseEvent, ThroughputEngine,
+    TraceReuseEngine,
 };
 pub use ilr::{FiniteIlrBuffer, InstrReuseTable, SetAssocGeometry};
 pub use limits::{LatencyRule, LimitConfig, LimitResult, LimitStudySink, TraceIoStats};

@@ -37,16 +37,13 @@ struct Slot {
 pub struct InvalidatingRtm {
     geometry: SetAssocGeometry,
     slots: Vec<Option<Slot>>,
-    /// Per slot id, bumped by every eviction and never reset, so a
-    /// reverse-index reference to an earlier occupant goes stale.
-    generations: Vec<u32>,
     /// Ids of emptied slots, reused before anything is evicted.
     free: Vec<u32>,
     /// PC → slot ids, most recently stored last.
     by_pc: FxHashMap<u32, Vec<u32>>,
-    /// Input location → (slot id, generation) that must die when the
-    /// location is written.
-    watchers: FxHashMap<Loc, Vec<(u32, u32)>>,
+    /// Input location → ids of the resident slots that must die when the
+    /// location is written. An evicted slot leaves every list it was on.
+    watchers: FxHashMap<Loc, Vec<u32>>,
     stamp: u64,
     stats: RtmStats,
     invalidations: u64,
@@ -60,7 +57,6 @@ impl InvalidatingRtm {
         Self {
             geometry,
             slots: Vec::with_capacity(cap.min(4096)),
-            generations: Vec::with_capacity(cap.min(4096)),
             free: Vec::new(),
             by_pc: FxHashMap::default(),
             watchers: FxHashMap::default(),
@@ -89,7 +85,6 @@ impl InvalidatingRtm {
         }
         if self.slots.len() < self.geometry.capacity() as usize {
             self.slots.push(None);
-            self.generations.push(0);
             return (self.slots.len() - 1) as u32;
         }
         let victim = self
@@ -104,20 +99,29 @@ impl InvalidatingRtm {
         self.free.pop().expect("eviction freed a slot")
     }
 
-    /// Empty slot `id`, free it, and make its watchers stale.
+    /// Empty slot `id`, free it, and drop it from the PC and watcher
+    /// lists, so the next occupant of the id inherits neither.
     fn evict(&mut self, id: u32) {
         if let Some(slot) = self.slots[id as usize].take() {
-            let pc = slot.rec.start_pc;
-            if let Some(list) = self.by_pc.get_mut(&pc) {
-                list.retain(|x| *x != id);
-                if list.is_empty() {
-                    self.by_pc.remove(&pc);
-                }
+            unlist(&mut self.by_pc, slot.rec.start_pc, id);
+            for (loc, _) in slot.rec.ins.iter() {
+                unlist(&mut self.watchers, *loc, id);
             }
-            let generation = &mut self.generations[id as usize];
-            *generation = generation.wrapping_add(1);
             self.free.push(id);
             self.stats.evictions += 1;
+        }
+    }
+}
+
+/// Remove `id` (listed once) from `key`'s list, keeping the order, and
+/// the list once it is empty.
+fn unlist<K: std::hash::Hash + Eq>(lists: &mut FxHashMap<K, Vec<u32>>, key: K, id: u32) {
+    if let Some(list) = lists.get_mut(&key) {
+        if let Some(i) = list.iter().position(|x| *x == id) {
+            list.remove(i);
+        }
+        if list.is_empty() {
+            lists.remove(&key);
         }
     }
 }
@@ -153,12 +157,8 @@ impl ReuseBackend for InvalidatingRtm {
         let valid = rec.ins.iter().all(|(loc, val)| state(*loc) == *val);
         let id = self.allocate();
         self.stamp += 1;
-        let generation = self.generations[id as usize];
         for (loc, _) in rec.ins.iter() {
-            self.watchers
-                .entry(*loc)
-                .or_default()
-                .push((id, generation));
+            self.watchers.entry(*loc).or_default().push(id);
         }
         self.by_pc.entry(rec.start_pc).or_default().push(id);
         self.slots[id as usize] = Some(Slot {
@@ -173,10 +173,7 @@ impl ReuseBackend for InvalidatingRtm {
         let Some(watchers) = self.watchers.remove(&loc) else {
             return;
         };
-        for (id, generation) in watchers {
-            if self.generations[id as usize] != generation {
-                continue;
-            }
+        for id in watchers {
             if let Some(slot) = self.slots[id as usize].as_mut() {
                 if slot.valid {
                     slot.valid = false;
@@ -335,5 +332,36 @@ mod tests {
         rtm.on_write(R1); // pc 1's live-in, not pc 3's
         assert!(rtm.lookup(3, &|_| 0).is_some(), "pc 3 survives the write");
         assert_eq!(rtm.invalidations(), 0);
+    }
+
+    #[test]
+    fn evicted_slots_leave_no_watchers() {
+        let g = SetAssocGeometry {
+            sets: 1,
+            ways: 2,
+            per_pc: 2,
+        }; // capacity 4: two PCs at the per-PC limit fill it
+        let mut rtm = InvalidatingRtm::new(g);
+        let state = |_: Loc| 0u64;
+        let watchers = |rtm: &InvalidatingRtm| rtm.watchers.values().map(Vec::len).sum::<usize>();
+        let live_ins = |rtm: &InvalidatingRtm| {
+            let slots = rtm.slots.iter().flatten();
+            slots.map(|s| s.rec.ins.len()).sum::<usize>()
+        };
+        // The live-ins are never written, so only eviction can drop
+        // their watchers.
+        for i in 0..200u64 {
+            let (pc, ins) = (10 * (i % 2) as u32, [(R1, 0), (Loc::Mem(i % 3), 0)]);
+            rtm.insert(rec(pc, &ins, &[(R2, i)]), &state);
+            assert!(
+                watchers(&rtm) <= live_ins(&rtm),
+                "store {i}: {} watchers for {} resident live-ins",
+                watchers(&rtm),
+                live_ins(&rtm)
+            );
+        }
+        assert_eq!(rtm.stats().evictions, 196, "every eviction is per-PC");
+        rtm.on_write(R1);
+        assert_eq!(rtm.invalidations(), 4, "each resident trace dies once");
     }
 }

@@ -370,7 +370,9 @@ struct Index {
     by_fingerprint: FxHashMap<u64, Vec<PathBuf>>,
     /// shape fingerprint → value fingerprints of programs whose
     /// snapshots carry that shape (v6+ files only). Shape 0
-    /// (value-pinned) is never indexed.
+    /// (value-pinned) is never indexed. A fingerprint stays listed after
+    /// its files vanish or its entry is evicted; `get_by_shape` skips
+    /// one left with neither.
     by_shape: FxHashMap<u64, Vec<u64>>,
     /// Every indexed path with its last-seen (mtime, length) stamp, so
     /// a refresh scan tells new files (absent) from known ones and
@@ -795,7 +797,10 @@ impl SnapshotRegistry {
         if shape == 0 {
             return Ok(None);
         }
-        let donors = self.index.read().unwrap().shape_donors(shape, fingerprint);
+        let mut donors = self.index.read().unwrap().shape_donors(shape, fingerprint);
+        // A donor whose files vanished and whose entry was evicted has
+        // nothing left to give: it is not offered.
+        donors.retain(|donor| self.has_state(*donor));
         if donors.is_empty() {
             return Ok(None);
         }
@@ -856,6 +861,24 @@ impl SnapshotRegistry {
         self.index.write().unwrap().add_shape(fingerprint, shape);
         let raced = self.install(fingerprint, entry, Entry::hit);
         Ok(Some(raced.unwrap_or(snap)))
+    }
+
+    /// Whether `fingerprint` has indexed files or a resident entry (the
+    /// index and the shard are locked one after the other).
+    fn has_state(&self, fingerprint: u64) -> bool {
+        let has_files = self
+            .index
+            .read()
+            .unwrap()
+            .by_fingerprint
+            .contains_key(&fingerprint);
+        has_files
+            || self
+                .shard_of(fingerprint)
+                .lock()
+                .unwrap()
+                .entries
+                .contains_key(&fingerprint)
     }
 
     /// The serialized snapshot file image for `fingerprint` — the exact

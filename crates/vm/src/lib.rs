@@ -18,13 +18,16 @@
 //!   recorded next PC without executing (or even fetching) the skipped
 //!   instructions, exactly the processor-state update of §3.3.
 //!
-//! Execution comes in two models sharing one predecoded dispatch table
-//! ([`tlr_isa::Predecoded`], built once in [`Vm::new`]): the *observed*
-//! path ([`Vm::step`]/[`Vm::run`]) materializes a full [`tlr_isa::DynInstr`]
-//! per instruction, while the *fast* path ([`Vm::step_fast`]/
-//! [`Vm::run_fast`]) is allocation-free and record-free for when nothing
-//! is consuming the dynamic stream. [`ExecMode`] selects between them;
-//! both compute identical architectural state.
+//! The ISA is written once: one instruction body over the predecoded
+//! dispatch table ([`tlr_isa::Predecoded`], built once in [`Vm::new`]),
+//! generic over a sink for the locations each instruction reads and
+//! writes. It has two instantiations. The *observed* path
+//! ([`Vm::step`]/[`Vm::run`]) passes the instruction's
+//! [`tlr_isa::DynInstr`] as the sink, materializing the full record; the
+//! *fast* path ([`Vm::step_fast`]/[`Vm::run_fast`]) passes a no-op sink,
+//! so it is allocation-free and record-free for when nothing is
+//! consuming the dynamic stream. [`ExecMode`] selects between them; both
+//! compute identical architectural state because they run the same code.
 
 mod memory;
 mod vm;

@@ -71,11 +71,13 @@ impl RunOutcome {
 
 /// Which execution model drives the hot loop.
 ///
-/// Both modes compute identical architectural state; the split exists so
-/// that the per-instruction [`DynInstr`] record — heap-free but still a
-/// ~100-byte value with inline read/write vectors — is materialized
-/// *lazily*, only when something (a collector, a tap, a recorder) is
-/// actually consuming the dynamic stream.
+/// Both modes are instantiations of one instruction body, generic over
+/// where it reports the locations it touches, so they compute identical
+/// architectural state by construction. The split exists so that the
+/// per-instruction [`DynInstr`] record — heap-free but still a ~100-byte
+/// value with inline read/write vectors — is materialized *lazily*, only
+/// when something (a collector, a tap, a recorder) is actually consuming
+/// the dynamic stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// Predecoded dispatch with no per-step record: [`Vm::step_fast`].
@@ -298,12 +300,11 @@ impl Vm {
     /// Execute one instruction, returning its dynamic record (or
     /// [`StepResult::Halted`]). This is the *observed* step: it
     /// materializes the full [`DynInstr`] an ATOM-style instrumentation
-    /// pass would produce. The dispatch itself runs over the predecoded
-    /// table, exactly like [`Vm::step_fast`].
+    /// pass would produce. It runs the same instruction body as
+    /// [`Vm::step_fast`], with the record as the body's effect sink.
     pub fn step(&mut self) -> Result<StepResult, VmError> {
         let pc = self.pc;
         let op = self.pre.op(pc).ok_or(VmError::PcOutOfRange { pc })?;
-
         let mut rec = DynInstr {
             pc,
             next_pc: pc + 1,
@@ -311,9 +312,41 @@ impl Vm {
             reads: Default::default(),
             writes: Default::default(),
         };
+        let Some(next_pc) = self.exec(op, &mut rec)? else {
+            return Ok(StepResult::Halted);
+        };
+        rec.next_pc = next_pc;
+        self.pc = next_pc;
+        self.executed += 1;
+        Ok(StepResult::Executed(rec))
+    }
+
+    /// Execute one instruction with no dynamic record: the allocation-free
+    /// fast path. Architectural effects, error cases, and the `executed`
+    /// counter are identical to [`Vm::step`] — both run one instruction
+    /// body — and nothing is materialized for an observer.
+    pub fn step_fast(&mut self) -> Result<FastStep, VmError> {
+        let pc = self.pc;
+        let op = self.pre.op(pc).ok_or(VmError::PcOutOfRange { pc })?;
+        let Some(next_pc) = self.exec(op, &mut ())? else {
+            return Ok(FastStep::Halted);
+        };
+        self.pc = next_pc;
+        self.executed += 1;
+        Ok(FastStep::Executed(self.pre.class(pc)))
+    }
+
+    /// The one instruction body: execute `op` at the current PC,
+    /// reporting every location it reads and writes to `fx`, and return
+    /// the next PC (`None` at `halt`). The caller fetched `op` and
+    /// commits the PC.
+    #[inline(always)]
+    fn exec<E: Effects>(&mut self, op: POp, fx: &mut E) -> Result<Option<u32>, VmError> {
+        let pc = self.pc;
+        let mut next_pc = pc + 1;
 
         // Register fields are raw predecoded indices; index 31 is the
-        // hardwired zero register (reads unrecorded, writes discarded).
+        // hardwired zero register (reads unreported, writes discarded).
         macro_rules! read_r {
             ($n:expr) => {{
                 let n: u8 = $n;
@@ -321,7 +354,7 @@ impl Vm {
                     0
                 } else {
                     let v = self.iregs[n as usize];
-                    rec.reads.push((Loc::IntReg(n), v));
+                    fx.read(Loc::IntReg(n), v);
                     v
                 }
             }};
@@ -333,7 +366,7 @@ impl Vm {
                     0.0
                 } else {
                     let v = self.fregs[n as usize];
-                    rec.reads.push((Loc::FpReg(n), v.to_bits()));
+                    fx.read(Loc::FpReg(n), v.to_bits());
                     v
                 }
             }};
@@ -344,7 +377,7 @@ impl Vm {
                 let v: u64 = $v;
                 if n != 31 {
                     self.iregs[n as usize] = v;
-                    rec.writes.push((Loc::IntReg(n), v));
+                    fx.write(Loc::IntReg(n), v);
                 }
             }};
         }
@@ -354,7 +387,7 @@ impl Vm {
                 let v: f64 = $v;
                 if n != 31 {
                     self.fregs[n as usize] = v;
-                    rec.writes.push((Loc::FpReg(n), v.to_bits()));
+                    fx.write(Loc::FpReg(n), v.to_bits());
                 }
             }};
         }
@@ -406,174 +439,26 @@ impl Vm {
             POp::LoadInt { rd, base, disp } => {
                 let addr = read_r!(base).wrapping_add(disp);
                 let v = self.mem.read(addr);
-                rec.reads.push((Loc::Mem(addr), v));
+                fx.read(Loc::Mem(addr), v);
                 write_r!(rd, v);
             }
             POp::StoreInt { rs, base, disp } => {
                 let v = read_r!(rs);
                 let addr = read_r!(base).wrapping_add(disp);
                 self.mem.write(addr, v);
-                rec.writes.push((Loc::Mem(addr), v));
+                fx.write(Loc::Mem(addr), v);
             }
             POp::LoadFp { fd, base, disp } => {
                 let addr = read_r!(base).wrapping_add(disp);
                 let bits = self.mem.read(addr);
-                rec.reads.push((Loc::Mem(addr), bits));
+                fx.read(Loc::Mem(addr), bits);
                 write_f!(fd, f64::from_bits(bits));
             }
             POp::StoreFp { fs, base, disp } => {
-                let v = read_f!(fs);
-                let addr = read_r!(base).wrapping_add(disp);
-                self.mem.write(addr, v.to_bits());
-                rec.writes.push((Loc::Mem(addr), v.to_bits()));
-            }
-            POp::Itof { fd, ra } => {
-                let a = read_r!(ra);
-                write_f!(fd, a as i64 as f64);
-            }
-            POp::Ftoi { rd, fa } => {
-                let a = read_f!(fa);
-                // `as` saturates on overflow and maps NaN to 0: deterministic.
-                write_r!(rd, a as i64 as u64);
-            }
-            POp::Branch { cond, ra, target } => {
-                let v = read_r!(ra);
-                if cond.eval(v) {
-                    rec.next_pc = target;
-                }
-            }
-            POp::Jump { target } => {
-                rec.next_pc = target;
-            }
-            POp::Jsr { link, target } => {
-                write_r!(link, (pc + 1) as u64);
-                rec.next_pc = target;
-            }
-            POp::JmpReg { ra } => {
-                let v = read_r!(ra);
-                if v as usize >= self.pre.len() {
-                    return Err(VmError::BadJumpTarget { pc, target: v });
-                }
-                rec.next_pc = v as u32;
-            }
-            POp::Halt => return Ok(StepResult::Halted),
-            POp::Nop => {}
-        }
-
-        self.pc = rec.next_pc;
-        self.executed += 1;
-        Ok(StepResult::Executed(rec))
-    }
-
-    /// Execute one instruction with no dynamic record: the allocation-free
-    /// fast path. Architectural effects, error cases, and the `executed`
-    /// counter are identical to [`Vm::step`]; the only difference is that
-    /// nothing is materialized for an observer.
-    pub fn step_fast(&mut self) -> Result<FastStep, VmError> {
-        let pc = self.pc;
-        let op = self.pre.op(pc).ok_or(VmError::PcOutOfRange { pc })?;
-        let mut next_pc = pc + 1;
-
-        macro_rules! read_r {
-            ($n:expr) => {{
-                let n: u8 = $n;
-                if n == 31 {
-                    0
-                } else {
-                    self.iregs[n as usize]
-                }
-            }};
-        }
-        macro_rules! read_f {
-            ($n:expr) => {{
-                let n: u8 = $n;
-                if n == 31 {
-                    0.0
-                } else {
-                    self.fregs[n as usize]
-                }
-            }};
-        }
-        macro_rules! write_r {
-            ($n:expr, $v:expr) => {{
-                let n: u8 = $n;
-                let v: u64 = $v;
-                if n != 31 {
-                    self.iregs[n as usize] = v;
-                }
-            }};
-        }
-        macro_rules! write_f {
-            ($n:expr, $v:expr) => {{
-                let n: u8 = $n;
-                let v: f64 = $v;
-                if n != 31 {
-                    self.fregs[n as usize] = v;
-                }
-            }};
-        }
-
-        match op {
-            POp::IntRR { op, rd, ra, rb } => {
-                let a = read_r!(ra);
-                let b = read_r!(rb);
-                write_r!(rd, eval_int_op(op, a, b));
-            }
-            POp::IntRI { op, rd, ra, imm } => {
-                let a = read_r!(ra);
-                write_r!(rd, eval_int_op(op, a, imm));
-            }
-            POp::Li { rd, imm } => {
-                write_r!(rd, imm);
-            }
-            POp::Fp { op, fd, fa, fb } => {
-                let a = read_f!(fa);
-                let b = read_f!(fb);
-                let v = match op {
-                    FpOp::Add => a + b,
-                    FpOp::Sub => a - b,
-                    FpOp::Mul => a * b,
-                    FpOp::Div => a / b,
-                };
-                write_f!(fd, v);
-            }
-            POp::FpUn { op, fd, fa } => {
-                let a = read_f!(fa);
-                let v = match op {
-                    FpUnOp::Sqrt => a.sqrt(),
-                    FpUnOp::Neg => -a,
-                    FpUnOp::Abs => a.abs(),
-                    FpUnOp::Mov => a,
-                };
-                write_f!(fd, v);
-            }
-            POp::FpCmp { op, rd, fa, fb } => {
-                let a = read_f!(fa);
-                let b = read_f!(fb);
-                let v = match op {
-                    FpCmpOp::Eq => a == b,
-                    FpCmpOp::Lt => a < b,
-                    FpCmpOp::Le => a <= b,
-                } as u64;
-                write_r!(rd, v);
-            }
-            POp::LoadInt { rd, base, disp } => {
-                let addr = read_r!(base).wrapping_add(disp);
-                write_r!(rd, self.mem.read(addr));
-            }
-            POp::StoreInt { rs, base, disp } => {
-                let v = read_r!(rs);
+                let v = read_f!(fs).to_bits();
                 let addr = read_r!(base).wrapping_add(disp);
                 self.mem.write(addr, v);
-            }
-            POp::LoadFp { fd, base, disp } => {
-                let addr = read_r!(base).wrapping_add(disp);
-                write_f!(fd, f64::from_bits(self.mem.read(addr)));
-            }
-            POp::StoreFp { fs, base, disp } => {
-                let v = read_f!(fs);
-                let addr = read_r!(base).wrapping_add(disp);
-                self.mem.write(addr, v.to_bits());
+                fx.write(Loc::Mem(addr), v);
             }
             POp::Itof { fd, ra } => {
                 let a = read_r!(ra);
@@ -604,13 +489,10 @@ impl Vm {
                 }
                 next_pc = v as u32;
             }
-            POp::Halt => return Ok(FastStep::Halted),
+            POp::Halt => return Ok(None),
             POp::Nop => {}
         }
-
-        self.pc = next_pc;
-        self.executed += 1;
-        Ok(FastStep::Executed(self.pre.class(pc)))
+        Ok(Some(next_pc))
     }
 
     /// Run until `halt` or until `budget` instructions have executed,
@@ -663,6 +545,34 @@ impl Vm {
             }
         }
     }
+}
+
+/// Where [`Vm::exec`] reports each location an instruction reads or
+/// writes, in the order it does so: [`Vm::step`] records them in the
+/// [`DynInstr`], [`Vm::step_fast`] passes `()` and they compile away.
+trait Effects {
+    fn read(&mut self, loc: Loc, value: u64);
+    fn write(&mut self, loc: Loc, value: u64);
+}
+
+impl Effects for DynInstr {
+    #[inline(always)]
+    fn read(&mut self, loc: Loc, value: u64) {
+        self.reads.push((loc, value));
+    }
+
+    #[inline(always)]
+    fn write(&mut self, loc: Loc, value: u64) {
+        self.writes.push((loc, value));
+    }
+}
+
+impl Effects for () {
+    #[inline(always)]
+    fn read(&mut self, _: Loc, _: u64) {}
+
+    #[inline(always)]
+    fn write(&mut self, _: Loc, _: u64) {}
 }
 
 #[inline]

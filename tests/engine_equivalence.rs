@@ -7,7 +7,7 @@
 //! This is the executable form of the §3.3 argument that applying a
 //! matching trace's recorded outputs is equivalent to executing it.
 
-use tlr_core::{EngineConfig, Heuristic, RtmConfig, TraceReuseEngine};
+use tlr_core::{Engine, EngineConfig, Heuristic, InvalidatingRtm, RtmConfig, TraceReuseEngine};
 use tlr_isa::{Loc, NullSink};
 use tlr_vm::Vm;
 
@@ -96,9 +96,9 @@ fn valid_bit_backend_is_sound() {
         let mut plain = Vm::new(&prog);
         plain.run(10_000_000, &mut NullSink).unwrap();
         let expect = fingerprint(&plain);
-        let mut engine = TraceReuseEngine::new(
+        let mut engine = Engine::<InvalidatingRtm>::new(
             &prog,
-            EngineConfig::paper(RtmConfig::RTM_4K, Heuristic::FixedExp(4)).with_valid_bit(),
+            EngineConfig::paper(RtmConfig::RTM_4K, Heuristic::FixedExp(4)),
         );
         let stats = engine.run(20_000_000).unwrap();
         assert!(stats.halted, "{}: did not halt", w.name);
@@ -119,7 +119,7 @@ fn valid_bit_never_reuses_more_than_value_comparison() {
         let prog = w.program_with(17, 12);
         let base = EngineConfig::paper(RtmConfig::RTM_4K, Heuristic::FixedExp(4));
         let value = TraceReuseEngine::new(&prog, base).run(150_000).unwrap();
-        let vb = TraceReuseEngine::new(&prog, base.with_valid_bit())
+        let vb = Engine::<InvalidatingRtm>::new(&prog, base)
             .run(150_000)
             .unwrap();
         assert!(

@@ -12,8 +12,7 @@ use tlr_core::{
     EngineConfig, Heuristic, ReplacementPolicy, RtmConfig, RtmSnapshot, ThroughputEngine,
     TraceReuseEngine,
 };
-use tlr_isa::NullSink;
-use tlr_vm::{ExecMode, Vm};
+use tlr_vm::{ExecMode, FastStep, StepResult, Vm};
 use trace_reuse::asm::{assemble, Program};
 
 const BUDGET: u64 = 60_000;
@@ -151,14 +150,18 @@ fn fast_engine_matches_reference_on_warm_starts() {
 }
 
 /// One random but always-valid instruction, rendered as assembly. Every
-/// line carries a label so branch targets generated as `imm % (n + 1)`
-/// always resolve (index `n` is the trailing `halt`).
+/// opcode family appears, and register field 0 renders as the hardwired
+/// zero register 31. Every instruction carries a label so branch,
+/// call and indirect-jump targets generated as `imm % (n + 1)` always
+/// resolve (index `n` is the trailing `halt`).
 fn render_instr(
     i: usize,
     n: usize,
     (kind, a, b, c, disp, imm): (u8, u8, u8, u8, u64, u16),
 ) -> String {
     let target = (imm as usize) % (n + 1);
+    let [a, b, c] = [a, b, c].map(|r| if r == 0 { 31 } else { r });
+    let pick = |ops: &[&'static str]| ops[imm as usize % ops.len()];
     let body = match kind {
         0 => format!("addq r{a}, r{b}, r{c}"),
         1 => format!("subq r{a}, r{b}, r{c}"),
@@ -174,16 +177,38 @@ fn render_instr(
         11 => format!("addt f{a}, f{b}, f{c}"),
         12 => format!("itof f{a}, r{b}"),
         13 => format!("cmplt r{a}, r{b}, r{c}"),
+        14 => format!("{} f{a}, f{b}, f{c}", pick(&["subt", "mult", "divt"])),
+        15 => format!("{} f{a}, f{b}", pick(&["sqrtt", "negt", "abst", "fmov"])),
+        16 => format!("{} r{a}, f{b}, f{c}", pick(&["cmpteq", "cmptlt", "cmptle"])),
+        17 => format!("ldt f{a}, {disp}(r{b})"),
+        18 => format!("stt f{a}, {disp}(r{b})"),
+        19 => format!("ftoi r{a}, f{b}"),
+        20 => format!("jsr r{a}, L{target}"),
+        21 => format!("br L{target}"),
+        22 => format!("li r{a}, L{target}\n    jmp r{a}"),
         _ => "nop".to_string(),
     };
     format!("L{i}: {body}\n")
 }
 
+/// Where every generated program starts: distinct nonzero words at
+/// addresses 0..128 and nonzero values in r1–r9 and f1–f9, so the
+/// locations an instruction reads rarely hold zero.
+fn prologue(seeds: &[u64]) -> String {
+    let words: Vec<String> = (1..=128).map(|v: u64| v.to_string()).collect();
+    let mut text = format!(".org 0\ntab: .word {}\n", words.join(", "));
+    for (r, v) in (1..).zip(seeds) {
+        text.push_str(&format!("li r{r}, {v}\nitof f{r}, r{r}\n"));
+    }
+    text
+}
+
 fn arb_program() -> impl Strategy<Value = String> {
-    let instr = (0u8..15, 1u8..10, 1u8..10, 1u8..10, 0u64..64, any::<u16>());
-    proptest::collection::vec(instr, 8..60).prop_map(|instrs| {
+    let instr = (0u8..24, 0u8..10, 0u8..10, 0u8..10, 0u64..64, any::<u16>());
+    let seeds = proptest::collection::vec(1u64..96, 9);
+    (proptest::collection::vec(instr, 8..60), seeds).prop_map(|(instrs, seeds)| {
         let n = instrs.len();
-        let mut text = String::new();
+        let mut text = prologue(&seeds);
         for (i, spec) in instrs.into_iter().enumerate() {
             text.push_str(&render_instr(i, n, spec));
         }
@@ -195,16 +220,53 @@ fn arb_program() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Predecoded execution is the interpreter: same final state, same
-    /// instruction count, on arbitrary valid programs (including ones
-    /// that loop forever and exhaust the budget).
+    /// Predecoded execution is the interpreter, and the observed step
+    /// records exactly what it does, on arbitrary valid programs
+    /// (including ones that loop until the budget runs out). An
+    /// observed, a fast and a shadow VM step in lockstep; the shadow
+    /// only ever applies records. Before each step every recorded read
+    /// holds the shadow's value at that location; applying the record's
+    /// writes and next PC brings the shadow to the observed VM's state
+    /// and PC; and the fast step reports the record's class. A probe VM
+    /// that holds only the recorded reads (every other register and
+    /// word zero) repeats the record, so the reads determine it. A
+    /// final digest alone would miss an opcode that forgets to report a
+    /// location.
     #[test]
     fn predecoded_vm_matches_observing_vm(source in arb_program()) {
         let prog = assemble(&source).expect("generated programs are valid");
         let mut observed = Vm::new(&prog);
-        observed.run(5_000, &mut NullSink).expect("observing run");
         let mut fast = Vm::new(&prog);
-        fast.run_fast(5_000).expect("fast run");
+        let mut shadow = Vm::new(&prog);
+        let mut bare = prog.clone();
+        bare.data.clear();
+        let mut probe = Vm::new(&bare);
+        for _ in 0..5_000 {
+            let fast_step = fast.step_fast().expect("fast step");
+            let StepResult::Executed(rec) = observed.step().expect("observing step") else {
+                prop_assert_eq!(fast_step, FastStep::Halted);
+                break;
+            };
+            for &(loc, value) in rec.reads.iter() {
+                prop_assert_eq!(shadow.peek_loc(loc), value, "pc {} reads {:?}", rec.pc, loc);
+            }
+            shadow
+                .apply_trace(rec.writes.iter().copied(), rec.next_pc)
+                .expect("recorded next PC is in the program");
+            prop_assert_eq!(shadow.pc(), observed.pc(), "pc {}", rec.pc);
+            prop_assert_eq!(shadow.state_digest(), observed.state_digest(), "pc {}", rec.pc);
+            prop_assert_eq!(fast_step, FastStep::Executed(rec.class), "pc {}", rec.pc);
+
+            for &(loc, value) in rec.reads.iter() {
+                probe.poke_loc(loc, value);
+            }
+            probe.set_pc(rec.pc);
+            let again = probe.step().expect("probe step");
+            prop_assert_eq!(&again, &StepResult::Executed(rec.clone()), "pc {}", rec.pc);
+            for &(loc, _) in rec.reads.iter().chain(rec.writes.iter()) {
+                probe.poke_loc(loc, 0);
+            }
+        }
         prop_assert_eq!(observed.executed(), fast.executed());
         prop_assert_eq!(observed.state_digest(), fast.state_digest());
     }

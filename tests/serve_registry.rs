@@ -5,7 +5,8 @@
 //! state and a publish that finds only files, and the durable-state
 //! path: spill sequence numbers read from the index, compaction that
 //! loads as the old state or the new one at every crash point, and a
-//! refresh that forgets the files another registry's fold deleted.
+//! refresh that forgets the files another registry's fold deleted, and
+//! with them a vanished shape donor.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -493,4 +494,28 @@ fn refresh_forgets_files_a_fold_deleted() {
     assert_eq!(group_digests(&served).unwrap(), cold_groups(&dir, 9));
     assert_eq!(daemon.fingerprints(), vec![9]);
     assert!(daemon.get(10).unwrap().is_none());
+}
+
+/// A program whose only file vanished is no longer offered as a shape
+/// donor: after `refresh`, a same-shape fetch counts what a registry
+/// opened fresh on the directory counts, with no shape reject (and so
+/// nothing logged).
+#[test]
+fn refresh_stops_offering_a_vanished_shape_donor() {
+    let dir = temp_dir("refresh-vanished-donor");
+    let path = dir.join(base_file_name(10));
+    let mut donor = snap(&[(8, 1)]);
+    donor.shape = 77;
+    save_snapshot(&path, 10, &donor).unwrap();
+    let daemon = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    daemon.refresh().unwrap();
+    assert!(daemon.get_by_shape(11, 77).unwrap().is_none());
+
+    let fresh = SnapshotRegistry::open(&dir, RegistryConfig::default()).unwrap();
+    assert!(fresh.get_by_shape(11, 77).unwrap().is_none());
+    for registry in [&daemon, &fresh] {
+        let stats = registry.stats();
+        assert_eq!((stats.unknown, stats.shape_rejects), (1, 0));
+    }
 }
